@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .enumeration import determinable_size, size_sweep, sweep_to_csv
+from .enumeration import size_sweep, sweep_to_csv
 from .errors import (AmbiguousSolutionError, ConfigurationError,
                      EstimationFailure, NoSolutionError)
-from .folding import centered_remainder, forward_fold
+from .folding import ModulusPair, centered_remainder, forward_fold
 from .simulate import (estimate_doppler, monte_carlo_rmse, simulate_echo,
                        vsar_estimate_vspace)
 from .solvers import (FoldedObservation, brute_force_oracle,
@@ -208,18 +208,16 @@ def cmd_retrieve(args) -> int:
 
 def cmd_fold(args) -> int:
     cfg = load_config(args.config)
-    case = classify_case(cfg)
-    vts, vss = cfg.exact_moduli()
     if args.grid:
         grid = _parse_grid(args.grid)
         lines = ["v_r,lambda,v_time,n_t,v_space,n_s,estimated"]
-        for lam, vt, vs in zip(cfg.lambdas, vts, vss):
-            pair_vt, pair_vs = float(vt), float(vs)
+        for lam, vt, vs in zip(cfg.lambdas, *cfg.exact_moduli()):
+            pair = ModulusPair(v_t=float(vt), v_s=float(vs))
             for v_r in grid:
-                fold = forward_fold(float(v_r), _pair(pair_vt, pair_vs))
-                estimated = fold.v_time if case.case_id is CaseId.I else fold.v_space
+                fold = forward_fold(float(v_r), pair)
+                # In case I the space fold is the identity: v_space == v_time.
                 lines.append(f"{v_r},{lam},{fold.v_time},{fold.n_t},"
-                             f"{fold.v_space},{fold.n_s},{estimated}")
+                             f"{fold.v_space},{fold.n_s},{fold.v_space}")
         _emit(args, "\n".join(lines), cfg)
         return EXIT_OK
     folds = fold_per_wavelength(args.vr, cfg)
@@ -229,12 +227,6 @@ def cmd_fold(args) -> int:
                      f"v_space {fold.v_space:.4f} (n_s {fold.n_s})")
     _emit(args, "\n".join(lines), cfg)
     return EXIT_OK
-
-
-def _pair(vt: float, vs: float):
-    from .folding import ModulusPair
-
-    return ModulusPair(v_t=vt, v_s=vs)
 
 
 def cmd_sweep(args) -> int:
@@ -279,9 +271,7 @@ def cmd_simulate(args) -> int:
                          noise_db=args.noise_db, seed=args.seed)
     f_hat = estimate_doppler(cube)
     v_space = vsar_estimate_vspace(cube, cfg, zero_pad=args.zero_pad)
-    vts, vss = cfg.exact_moduli()
-    idx = args.lambda_index - 1
-    fold = forward_fold(args.vr, _pair(float(vts[idx]), float(vss[idx])))
+    fold = fold_per_wavelength(args.vr, cfg)[args.lambda_index - 1]
     payload = {
         "v_r": args.vr,
         "lambda": lam,
@@ -330,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False):
         p.add_argument("--config", required=True, help="radar config JSON")
         p.add_argument("--out", help="write output to this file (plus manifest)")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("MFSAR_THREADS", "1")),
-                       help="worker cap for parallel subcommands")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -390,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-stop", type=float, default=0.0)
     p.add_argument("--xi-step", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--threads", type=int,
+                   default=int(os.environ.get("MFSAR_THREADS", "1")),
+                   help="worker processes for the Monte Carlo points")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_montecarlo)
 

@@ -16,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .folding import as_fraction
-from .system import RadarConfig
+from .folding import _split, as_fraction
+
+if TYPE_CHECKING:
+    from .system import RadarConfig
 
 __all__ = ["EnumerationReport", "lcm_rational", "determinable_size", "size_sweep"]
 
@@ -56,14 +59,6 @@ def lcm_rational(values) -> Fraction:
     den = math.lcm(*(v.denominator for v in vals))
     num = math.lcm(*(v.numerator * (den // v.denominator) for v in vals))
     return Fraction(num, den)
-
-
-def _centered_int(a: int, b: int):
-    """(n, r) with a == n*b + r, r integer in [-b/2, b/2) — exact."""
-    n, r = divmod(a, b)
-    if 2 * r >= b:
-        return n + 1, r - b
-    return n, r
 
 
 def determinable_size(v_t_list, v_s_list, step=1) -> EnumerationReport:
@@ -112,8 +107,8 @@ def determinable_size(v_t_list, v_s_list, step=1) -> EnumerationReport:
     def residues(v: int) -> tuple:
         out = []
         for vt, vs in zip(vt_i, vs_i):
-            _, v_time = _centered_int(v, vt)
-            _, v_space = _centered_int(v_time, vs)
+            _, v_time = _split(v, vt)
+            _, v_space = _split(v_time, vs)
             out.append(v_space)
         return tuple(out)
 

@@ -30,7 +30,6 @@ __all__ = [
     "forward_fold",
     "forward_fold_grid",
     "doppler_of",
-    "circular_distance",
 ]
 
 
@@ -156,12 +155,6 @@ def doppler_of(v_r, lam):
     if not lam > 0:
         raise ConfigurationError(f"wavelength must be positive, got {lam}")
     return -2 * v_r / lam
-
-
-def circular_distance(a, b, modulus):
-    """Shortest distance between ``a`` and ``b`` on a circle of the given modulus."""
-    d = abs(centered_remainder(a - b, modulus))
-    return d
 
 
 def as_fraction(x, max_denominator: int = 10**6, ulps: int = 4) -> Fraction:

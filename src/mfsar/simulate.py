@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import determinable_size
 from .errors import AmbiguousSolutionError, EstimationFailure, NoSolutionError
 from .solvers import FoldedObservation, fold_per_wavelength, search_retrieve
 from .system import RadarConfig, TargetMotion
@@ -240,17 +239,12 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    vts, vss = cfg.exact_moduli()
-    v_range = float(determinable_size(vts, vss).size)
+    v_range = float(cfg.size_report().size)
     jobs = [(cfg, float(xi), i, trials, seed, v_range)
             for i, xi in enumerate(xi_grid)]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            points = list(pool.map(_mc_point_args, jobs))
+            points = list(pool.map(_mc_point, *zip(*jobs)))
     else:
         points = [_mc_point(*job) for job in jobs]
     return RmseCurve(points=tuple(points))
-
-
-def _mc_point_args(job) -> RmsePoint:
-    return _mc_point(*job)

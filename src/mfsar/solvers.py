@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .enumeration import lcm_rational
 from .errors import AmbiguousSolutionError, ConfigurationError, NoSolutionError
 from .folding import (ModulusPair, as_fraction, bracket_fold, centered_remainder,
                       forward_fold, forward_fold_grid)
@@ -121,10 +122,7 @@ def _check_observation(obs: FoldedObservation, cfg: RadarConfig) -> None:
         raise ValueError(
             f"{len(obs.v_space)} observations for {len(cfg.lambdas)} wavelengths"
         )
-    case = classify_case(cfg)
-    vts, vss = cfg.exact_moduli()
-    mods = vts if case.case_id is CaseId.I else vss
-    for v, m in zip(obs.v_space, mods):
+    for v, m in zip(obs.v_space, cfg.observed_moduli()):
         half = float(m) / 2
         if not (-half - obs.xi_e <= v < half + obs.xi_e):
             raise ValueError(
@@ -285,8 +283,7 @@ def solve_case1(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
     """Retrieve the radial velocity of a case I system (time fold only)."""
     _require_case(cfg, CaseId.I)
     _check_observation(obs, cfg)
-    vts, _ = cfg.exact_moduli()
-    return robust_crt(obs.v_space, vts)
+    return robust_crt(obs.v_space, cfg.observed_moduli())
 
 
 def solve_case2(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
@@ -299,8 +296,7 @@ def solve_case2(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
     """
     _require_case(cfg, CaseId.II)
     _check_observation(obs, cfg)
-    _, vss = cfg.exact_moduli()
-    inner = robust_crt(obs.v_space, vss)
+    inner = robust_crt(obs.v_space, cfg.observed_moduli())
     folds = fold_per_wavelength(inner.v_hat, cfg)
     integers = AmbiguityIntegers(
         n_t=tuple(f.n_t for f in folds),
@@ -313,8 +309,6 @@ def solve_case2(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
 
 def theorem1_range(cfg: RadarConfig) -> float:
     """Width ``lcm(v_s)/q`` of the interval where the reduced solver is valid."""
-    from .enumeration import lcm_rational  # local import avoids a cycle
-
     _, vss = cfg.exact_moduli()
     q = cfg.ratio().denominator
     return float(lcm_rational(vss) / q)
@@ -364,14 +358,17 @@ def _integer_grid(v_range: float, vt: float, vs: float):
 
 def _channel_tuples(v_obs: float, vt: float, vs: float, v_range: float, xi: float):
     """All feasible single-channel unfolds: integer pairs, reconstruction
-    values, and the widened time-interval feasibility mask."""
+    values, and the feasibility mask: the partial unfold inside the widened
+    time interval and the reconstruction inside the widened range
+    ``[-v_range/2 - xi, v_range/2 + xi)``."""
     nt, ns = _integer_grid(v_range, vt, vs)
     NT, NS = np.meshgrid(nt, ns, indexing="ij")
     NT, NS = NT.ravel(), NS.ravel()
     partial = v_obs + NS * vs          # velocity after undoing the space fold
     recon = partial + NT * vt
     lo, hi = -vt / 2 - xi, vt / 2 + xi
-    feasible = (partial >= lo) & (partial < hi)
+    half = v_range / 2 + xi
+    feasible = (partial >= lo) & (partial < hi) & (recon >= -half) & (recon < half)
     return NT, NS, recon, feasible
 
 
@@ -389,8 +386,12 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     lexicographically smallest ``(n_t, n_s)`` per wavelength, the oracle's
     rule; tied candidates at distinct velocities raise AmbiguousSolutionError
     with those velocities as ``candidates`` -- ties are reported, never
-    guessed.  The estimate averages all per-wavelength reconstructions, so
-    independent measurement errors shrink by the number of wavelengths.
+    guessed.  Candidates are confined to the retrieval range: every
+    reconstruction must lie in ``[-v_range/2 - xi_e, v_range/2 + xi_e)``,
+    where ``v_range`` defaults to the config's determinable size, so an alias
+    outside the range cannot tie with the in-range truth.  The estimate
+    averages all per-wavelength reconstructions, so independent measurement
+    errors shrink by the number of wavelengths.
     """
     _require_case(cfg, CaseId.III)
     _check_observation(obs, cfg)
@@ -398,9 +399,7 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
         raise ConfigurationError("the search needs at least two wavelengths")
     vts_f, vss_f = cfg.exact_moduli()
     if v_range is None:
-        from .enumeration import determinable_size
-
-        v_range = float(determinable_size(vts_f, vss_f).size)
+        v_range = float(cfg.size_report().size)
 
     # Feasible (n_t, n_s, reconstruction) arrays, one triple per wavelength.
     bands = []
@@ -502,30 +501,26 @@ def brute_force_oracle(obs: FoldedObservation, cfg: RadarConfig,
     if not step > 0:
         raise ConfigurationError(f"step must be positive, got {step}")
     _check_observation(obs, cfg)
-    case = classify_case(cfg)
-    vts_f, vss_f = cfg.exact_moduli()
     if v_range is None:
-        from .enumeration import determinable_size
-
-        v_range = float(determinable_size(vts_f, vss_f).size)
+        v_range = float(cfg.size_report().size)
     half = v_range / 2
     grid = np.arange(-half, half, step)
+    bands = list(zip(obs.v_space, *cfg.exact_moduli(), cfg.observed_moduli()))
 
-    def chan_distance(v, v_obs, vt, vs):
+    def chan_distance(v, v_obs, vt, vs, mod):
         _, v_space, _, _ = forward_fold_grid(v, vt, vs)
-        mod = vt if case.case_id is CaseId.I else vs
+        mod = float(mod)
         delta = np.abs(np.asarray(v_space) - v_obs) % mod
         return np.minimum(delta, mod - delta)
 
     score = np.zeros_like(grid)
-    for v_obs, vt_f, vs_f in zip(obs.v_space, vts_f, vss_f):
-        score = np.maximum(score, chan_distance(grid, v_obs, float(vt_f), float(vs_f)))
+    for band in bands:
+        score = np.maximum(score, chan_distance(grid, *band))
     best = int(np.argmin(score))
     v_best, s_best = float(grid[best]), float(score[best])
 
     def scalar_score(v):
-        return max(float(chan_distance(np.array([v]), v_obs, float(vt_f), float(vs_f))[0])
-                   for v_obs, vt_f, vs_f in zip(obs.v_space, vts_f, vss_f))
+        return max(float(chan_distance(np.array([v]), *band)[0]) for band in bands)
 
     lo = max(-half, v_best - step)
     hi = min(half - 1e-12, v_best + step)

@@ -14,8 +14,18 @@ speeds ``v_t/v_s = d*f_p/(2*v_a)``:
 The ratio must reduce to an exact small rational p/q.  Physical
 configurations are specified with finite precision, so ``d``, ``f_p``, ``v_a``
 and every wavelength are rationalised once, at construction, by the same
-verified continued-fraction rule the solvers use (:func:`folding.as_fraction`),
-and p/q and the blind speeds are formed exactly from those rationals.
+verified continued-fraction rule the solvers use (:func:`folding.as_fraction`).
+
+:class:`RadarConfig` is the one place the solvers' system quantities are
+derived, each exactly and at most once per instance:
+
+* at construction -- p/q (:meth:`RadarConfig.ratio`), the blind speeds
+  ``(v_t, v_s)`` of every wavelength (:meth:`RadarConfig.exact_moduli`) and
+  the modulus that folds each measured remainder, ``min(v_t, v_s)``: ``v_t``
+  in case I, ``v_s`` in cases II and III (:meth:`RadarConfig.observed_moduli`);
+* on first use, then cached -- the determinable velocity size with its two
+  bounds (:meth:`RadarConfig.size_report`), found by the enumeration walk of
+  :func:`enumeration.determinable_size`.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
+from . import enumeration
 from .errors import ConfigurationError
 from .folding import ModulusPair, as_fraction, blind_speeds
 
@@ -110,9 +121,11 @@ class RadarConfig:
                 f"blind-speed ratio {ratio} does not reduce to a rational with "
                 f"denominator <= {_RATIO_MAX_DENOMINATOR}"
             )
+        vts = tuple(lam * f_p / 2 for lam in lams)
+        vss = tuple(lam * v_a / d for lam in lams)
         object.__setattr__(self, "_ratio", ratio)
-        object.__setattr__(self, "_moduli", (tuple(lam * f_p / 2 for lam in lams),
-                                             tuple(lam * v_a / d for lam in lams)))
+        object.__setattr__(self, "_moduli", (vts, vss))
+        object.__setattr__(self, "_observed", tuple(map(min, vts, vss)))
 
     def ratio(self) -> Fraction:
         """Exact reduced blind-speed ratio ``v_t/v_s = d*f_p/(2*v_a)``."""
@@ -122,6 +135,23 @@ class RadarConfig:
         """Blind speeds of every wavelength as exact rationals:
         ``(v_t tuple, v_s tuple)`` in wavelength order."""
         return self._moduli
+
+    def observed_moduli(self) -> tuple:
+        """Exact modulus of each wavelength's measured remainder,
+        ``min(v_t, v_s)``: ``v_t`` in case I, ``v_s`` in cases II and III."""
+        return self._observed
+
+    def size_report(self) -> enumeration.EnumerationReport:
+        """Determinable velocity size of this system with its bounds.
+
+        Enumerated on the first call and cached on the instance; needs at
+        least two wavelengths.
+        """
+        report = self.__dict__.get("_size_report")
+        if report is None:
+            report = enumeration.determinable_size(*self._moduli)
+            object.__setattr__(self, "_size_report", report)
+        return report
 
     def blind_speeds(self, lam: float) -> ModulusPair:
         """Blind-speed pair for one wavelength of this system."""
@@ -200,12 +230,9 @@ def classify_case(cfg: RadarConfig) -> SystemCase:
 
 
 def unambiguous_range(cfg: RadarConfig, lam: float) -> tuple:
-    """Half-open unambiguous velocity interval for one wavelength (m/s)."""
-    case = classify_case(cfg)
-    if case.case_id is CaseId.I:
-        half = lam * cfg.f_p / 4.0
-    else:
-        half = lam * cfg.v_a / (2.0 * cfg.d)
+    """Half-open unambiguous velocity interval for one wavelength (m/s): its
+    single-wavelength determinable size, centred on zero."""
+    half = _determinable_size_at(lam, cfg.f_p, cfg.v_a, cfg.d) / 2.0
     return (-half, half)
 
 
@@ -244,10 +271,9 @@ def classify_target_type(cfg: RadarConfig, lam: float, motion: TargetMotion,
 
 
 def _determinable_size_at(lam: float, f_p: float, v_a: float, d: float) -> float:
-    # Below the DPCA threshold the time fold is the binding one.
-    if d < 2.0 * v_a / f_p:
-        return lam * f_p / 2.0
-    return lam * v_a / d
+    # The observed remainder is folded by the smaller blind speed.
+    pair = blind_speeds(lam, f_p, v_a, d)
+    return min(pair.v_t, pair.v_s)
 
 
 def sweep_determinable_size(cfg: RadarConfig, lam: float, vary: str, grid) -> list:

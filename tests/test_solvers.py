@@ -247,6 +247,14 @@ class TestSearchRetrieve:
             search_retrieve(obs, reference_config)
         assert err.value.candidates is not None
 
+    def test_aliases_outside_the_range_are_not_candidates(self):
+        # Determinable size 80 m/s.  Truth 14.678 ties exactly with -41.31,
+        # which folds to the same remainders but lies outside +-40.
+        cfg = make_config(lambdas=(0.07, 0.08))
+        assert cfg.size_report().size == 80
+        res = search_retrieve(FoldedObservation((7.7191, -9.3423), xi_e=0.05), cfg)
+        assert res.v_hat == pytest.approx(14.68, abs=0.05)
+
     def test_inconsistent_third_band_reports_no_solution(self):
         # Bands 1 and 2 fold v = 17; no velocity in the determinable range
         # +-420 also folds to -5.0 in band 3: the oracle's best worst-band

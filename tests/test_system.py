@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mfsar import (CaseId, ConfigurationError, ModulusPair, RadarConfig,
-                   TargetMotion, TargetType, azimuth_shift, classify_case,
-                   classify_target_type, config_from_dict, determinable_size,
+from mfsar import (CaseId, ConfigurationError, FoldedObservation,
+                   ModulusPair, RadarConfig, TargetMotion, TargetType,
+                   azimuth_shift, classify_case, classify_target_type,
+                   config_from_dict, determinable_size, fold_per_wavelength,
                    forward_fold, load_config, max_azimuth_shift,
-                   sweep_determinable_size, unambiguous_range,
-                   velocity_resolution)
+                   search_retrieve, sweep_determinable_size,
+                   unambiguous_range, velocity_resolution)
+from mfsar import enumeration
 from conftest import make_config
 
 
@@ -56,6 +58,43 @@ class TestClassifyCase:
         # Six-decimal wavelengths keep their exact value.
         cfg = make_config(lambdas=(0.031067, 0.05))
         assert cfg.exact_moduli()[0][0] == Fraction(31067, 10**6) * 400
+
+
+class TestDerivedQuantities:
+    @pytest.mark.parametrize("d, case_id", [(0.2, CaseId.I), (0.4, CaseId.III),
+                                            (0.6, CaseId.II)])
+    def test_observed_moduli_follow_the_case(self, d, case_id):
+        cfg = make_config(d=d)
+        assert classify_case(cfg).case_id is case_id
+        vts, vss = cfg.exact_moduli()
+        assert cfg.observed_moduli() == (vts if case_id is CaseId.I else vss)
+
+    def test_size_report_is_the_enumerated_size(self, reference_config):
+        assert reference_config.size_report() == determinable_size(
+            *reference_config.exact_moduli())
+        assert reference_config.size_report().size == 120
+
+    def test_enumeration_runs_once_per_config(self, monkeypatch):
+        calls = []
+        real = enumeration.determinable_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "determinable_size", counted)
+        cfg = make_config()
+        assert calls == []      # not at construction
+        folds = fold_per_wavelength(17.0, cfg)
+        obs = FoldedObservation(tuple(f.v_space for f in folds), xi_e=0.1)
+        for _ in range(2):
+            assert search_retrieve(obs, cfg).v_hat == pytest.approx(17.0)
+        assert len(calls) == 1
+
+    def test_cached_size_stays_out_of_equality(self):
+        cfg, fresh = make_config(), make_config()
+        cfg.size_report()
+        assert cfg == fresh and hash(cfg) == hash(fresh)
 
 
 class TestUnambiguousRange:

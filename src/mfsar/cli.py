@@ -31,7 +31,7 @@ from .errors import (AmbiguousSolutionError, ConfigurationError,
 from .folding import ModulusPair, centered_remainder, forward_fold
 from .simulate import (estimate_doppler, monte_carlo_rmse, simulate_echo,
                        vsar_estimate_vspace)
-from .solvers import (FoldedObservation, brute_force_oracle,
+from .solvers import (DEFAULT_ERROR_BOUND, FoldedObservation, brute_force_oracle,
                       fold_per_wavelength, search_retrieve, solve_case1,
                       solve_case2, theorem1_range, theorem1_solve)
 from .system import (CaseId, RadarConfig, TargetMotion, azimuth_shift,
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-csv", help="CSV with header lambda,v_space")
     p.add_argument("--method", default="auto",
                    choices=["auto", "crt", "theorem1", "search", "oracle"])
-    p.add_argument("--xi-e", type=float, default=0.5,
+    p.add_argument("--xi-e", type=float, default=DEFAULT_ERROR_BOUND,
                    help="measurement error bound (m/s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_retrieve)

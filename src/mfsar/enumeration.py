@@ -4,7 +4,7 @@ For a multi-wavelength system whose blind-speed ratio is the reduced rational
 p/q, the velocity range over which the vector of space-domain remainders stays
 injective is bounded below by ``lcm(v_s)/q`` and above by ``lcm(v_t)``, but its
 actual value between those bounds is irregular.  This module finds it by exact
-enumeration: walk candidate velocities outward from zero on a step grid and
+enumeration: walk candidate velocities outward from zero in 1 m/s steps and
 stop at the first repeated remainder vector.
 
 All arithmetic is exact: inputs are rationalised, scaled to integers by the
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .folding import _split, as_fraction
+from .folding import _split, as_fraction, blind_speeds
 
 if TYPE_CHECKING:
     from .system import RadarConfig
@@ -61,20 +61,16 @@ def lcm_rational(values) -> Fraction:
     return Fraction(num, den)
 
 
-def determinable_size(v_t_list, v_s_list, step=1) -> EnumerationReport:
+def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
     """Enumerate the determinable velocity size of a multi-wavelength system.
 
-    Parameters
-    ----------
-    v_t_list, v_s_list : positive rationals, one pair per wavelength, sharing
-        one exact reduced ratio p/q.
-    step : walk step in m/s (exact; default 1).  The enumerated size is
-        step-dependent for non-integral moduli, so keep moduli and step
-        commensurate.
+    ``v_t_list`` and ``v_s_list`` hold positive rationals, one pair per
+    wavelength, sharing one exact reduced ratio p/q.
 
-    Walks 0, -step, +step, -2*step, ... computing the space-domain remainder
-    vector of each candidate; the first duplicate vector marks the maximum
-    determinable velocity, and the size is twice that value.
+    Walks 0, -1, +1, -2, ... m/s computing the space-domain remainder vector
+    of each candidate; the first duplicate vector marks the maximum
+    determinable velocity, and the size is twice that value.  For
+    non-integral moduli the size is that of this 1 m/s walk.
     """
     if len(v_t_list) != len(v_s_list) or len(v_t_list) < 2:
         raise ConfigurationError("need matching v_t/v_s lists with at least two wavelengths")
@@ -91,18 +87,15 @@ def determinable_size(v_t_list, v_s_list, step=1) -> EnumerationReport:
     if len(ratios) != 1:
         raise ConfigurationError(f"wavelengths disagree on v_t/v_s: {sorted(ratios)}")
     ratio = ratios.pop()
-    step = as_fraction(step)
-    if step <= 0:
-        raise ConfigurationError("step must be positive")
 
     v_lb = lcm_rational(vss) / ratio.denominator
     v_ub = lcm_rational(vts)
 
-    # Scale everything to integers so remainder vectors compare exactly.
-    scale = math.lcm(*(x.denominator for x in vts + vss + [step]))
+    # Scale everything to integers so remainder vectors compare exactly; one
+    # step of the walk (1 m/s) is then ``scale``.
+    scale = math.lcm(*(x.denominator for x in vts + vss))
     vt_i = [int(v * scale) for v in vts]
     vs_i = [int(v * scale) for v in vss]
-    step_i = int(step * scale)
 
     def residues(v: int) -> tuple:
         out = []
@@ -113,14 +106,14 @@ def determinable_size(v_t_list, v_s_list, step=1) -> EnumerationReport:
         return tuple(out)
 
     # Collision is guaranteed by the v_ub periodicity, so cap the walk there.
-    limit = int(v_ub * scale) // 2 + step_i
-    if limit // step_i > 2_000_000:
+    limit = int(v_ub * scale) // 2 + scale
+    if limit // scale > 2_000_000:
         # A plausible system collides within a few hundred steps; a bound this
         # large means the inputs are effectively incommensurable (e.g. floats
         # of irrational moduli rationalised to huge denominators).
         raise ConfigurationError(
-            f"enumeration would need {limit // step_i} steps; moduli "
-            f"{v_t_list}/{v_s_list} are effectively incommensurable at step {step}")
+            f"enumeration would need {limit // scale} steps; moduli "
+            f"{v_t_list}/{v_s_list} are effectively incommensurable")
     seen = {}
     v = 0
     while True:
@@ -132,7 +125,7 @@ def determinable_size(v_t_list, v_s_list, step=1) -> EnumerationReport:
                 return EnumerationReport(size=2 * half, v_lb=v_lb, v_ub=v_ub,
                                          collision_pair=pair)
             seen[vec] = cand
-        v += step_i
+        v += scale
         if v > limit:
             raise AssertionError("walk exceeded the periodicity bound without collision")
 
@@ -148,11 +141,9 @@ def size_sweep(cfg: RadarConfig, lambda_pairs) -> list:
     d = as_fraction(cfg.d)
     rows = []
     for lam1, lam2 in lambda_pairs:
-        l1, l2 = as_fraction(lam1), as_fraction(lam2)
-        vts = [l1 * f_p / 2, l2 * f_p / 2]
-        vss = [l1 * v_a / d, l2 * v_a / d]
-        report = determinable_size(vts, vss)
-        rows.append(((lam1, lam2), vts[0], vss[0], vts[1], vss[1], report))
+        p1, p2 = (blind_speeds(as_fraction(lam), f_p, v_a, d) for lam in (lam1, lam2))
+        report = determinable_size([p1.v_t, p2.v_t], [p1.v_s, p2.v_s])
+        rows.append(((lam1, lam2), p1.v_t, p1.v_s, p2.v_t, p2.v_s, report))
     return rows
 
 

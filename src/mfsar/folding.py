@@ -157,23 +157,22 @@ def doppler_of(v_r, lam):
     return -2 * v_r / lam
 
 
-def as_fraction(x, max_denominator: int = 10**6, ulps: int = 4) -> Fraction:
+def as_fraction(x) -> Fraction:
     """Rationalise a physical quantity specified with finite precision.
 
     Fractions and integers are returned exactly.  A float is accepted only
-    when the closest rational with denominator at most ``max_denominator``
-    reproduces it to within ``ulps`` units in its last place: a decimal
-    literal such as ``0.031067`` gives ``31067/10**6``, while a float of an
-    irrational value (``6*sqrt(2)``) has no such rational and raises
-    ConfigurationError.  A relative tolerance would not do: at this
-    denominator bound, ``1e-9*|x|`` is met by almost any float.
+    when the closest rational with denominator at most ``10**6`` reproduces
+    it to within 4 units in its last place: a decimal literal such as
+    ``0.031067`` gives ``31067/10**6``, while a float of an irrational value
+    (``6*sqrt(2)``) has no such rational and raises ConfigurationError.  A
+    relative tolerance would not do: at this denominator bound, ``1e-9*|x|``
+    is met by almost any float.
     """
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
-    f = Fraction(x).limit_denominator(max_denominator)
-    if abs(f - Fraction(x)) > ulps * math.ulp(x):
+    f = Fraction(x).limit_denominator(10**6)
+    if abs(f - Fraction(x)) > 4 * math.ulp(x):
         raise ConfigurationError(
             f"value {x!r} is not a ratio of integers with denominator <= "
-            f"{max_denominator} (closest: {f}); moduli built from it are "
-            "incommensurable")
+            f"10**6 (closest: {f}); moduli built from it are incommensurable")
     return f

@@ -122,69 +122,60 @@ def simulate_echo(cfg: RadarConfig, motion: TargetMotion, lam: float,
                         doppler_rate=static_doppler_rate(cfg, lam))
 
 
-def _doppler_spectrum(cube: SlowTimeCube, zero_pad: int):
-    """Dechirped, padded slow-time spectra of all channels plus the bin grid."""
-    if zero_pad < 1:
-        raise ValueError(f"zero_pad must be >= 1, got {zero_pad}")
+def _doppler_peak(cube: SlowTimeCube):
+    """Dechirped, padded slow-time spectra of all channels, the reference
+    channel's peak bin and its folded Doppler ``f_hat`` in (-f_p/2, f_p/2].
+
+    The bin labelled -f_p/2 is reported as +f_p/2, i.e. as the velocity
+    -v_t/2 at the lower end of the time fold's interval.
+    """
     n = cube.samples.shape[1]
     t = slow_time_axis(n, cube.f_p)
     dechirped = cube.samples * np.exp(-1j * np.pi * cube.doppler_rate * t**2)[None, :]
-    nfft = int(n * zero_pad)
+    nfft = n * SLOW_TIME_PAD
     spectra = np.fft.fft(dechirped, nfft, axis=1)
-    freqs = np.fft.fftfreq(nfft, d=1.0 / cube.f_p)
-    return spectra, freqs
-
-
-def _peak_bin(magnitude: np.ndarray) -> int:
+    magnitude = np.abs(spectra[0])
     peak = int(np.argmax(magnitude))
     if magnitude[peak] < 3.0 * magnitude.mean():
         raise EstimationFailure(
             f"no spectral peak: max {magnitude[peak]:.3g} is below three times "
             f"the mean level {magnitude.mean():.3g}")
-    return peak
-
-
-def estimate_doppler(cube: SlowTimeCube, zero_pad: int = SLOW_TIME_PAD) -> float:
-    """Folded Doppler centroid of the reference channel, in (-f_p/2, f_p/2]."""
-    spectra, freqs = _doppler_spectrum(cube, zero_pad)
-    peak = _peak_bin(np.abs(spectra[0]))
-    f_hat = float(freqs[peak])
+    f_hat = float(np.fft.fftfreq(nfft, d=1.0 / cube.f_p)[peak])
     if f_hat == -cube.f_p / 2.0:
         f_hat = cube.f_p / 2.0
-    return f_hat
+    return spectra, peak, f_hat
 
 
-def _channel_vector(cube: SlowTimeCube, cfg: RadarConfig, zero_pad: int = SLOW_TIME_PAD):
-    """Cross-channel sample at the Doppler peak, co-registered and compensated.
-
-    Co-registration shifts every channel by its along-track lag (a phase ramp
-    on the folded Doppler bin, which is what imprints the time-folded velocity
-    on the interferometric phase), and the static cross-channel quadratic
-    phase is removed.  The result's phase is linear in the channel index with
-    slope ``-2*pi*d*v_time/(lam*v_a)``.
-    """
-    spectra, freqs = _doppler_spectrum(cube, zero_pad)
-    peak = _peak_bin(np.abs(spectra[0]))
-    f_hat = float(freqs[peak])
-    m = np.arange(cube.samples.shape[0], dtype=float)
-    t_d = cfg.d / (2.0 * cfg.v_a)
-    coreg = np.exp(2j * np.pi * f_hat * m * t_d)
-    quad = np.exp(1j * np.pi * m**2 * cfg.d**2 / (cube.lam * cfg.r_0))
-    return spectra[:, peak] * coreg * quad, f_hat
+def estimate_doppler(cube: SlowTimeCube) -> float:
+    """Folded Doppler centroid of the reference channel, in (-f_p/2, f_p/2]."""
+    return _doppler_peak(cube)[2]
 
 
 def vsar_estimate_vspace(cube: SlowTimeCube, cfg: RadarConfig,
                          zero_pad: int = 1000) -> float:
     """Space-folded velocity from the cross-channel DFT at the Doppler peak.
 
+    The cross-channel sample at the peak bin is co-registered and
+    compensated first.  Co-registration shifts every channel by its
+    along-track lag ``d/(2*v_a)`` (a phase ramp on the folded Doppler
+    ``f_hat``, which is what imprints the time-folded velocity on the
+    interferometric phase), and the static cross-channel quadratic phase is
+    removed.  The sample's phase is then linear in the channel index with
+    slope ``-2*pi*d*v_time/(lam*v_a)``.  ``f_hat`` is the one
+    :func:`estimate_doppler` reports, so at the Nyquist bin both read the
+    same side of the time fold.
+
     ``zero_pad`` multiplies the channel count in the spatial DFT and sets the
     velocity quantisation ``v_s / (m_ch * zero_pad)``.  The peak spatial
     frequency in (-F_s/2, F_s/2] maps to a velocity in [-v_s/2, v_s/2).
     """
-    vector, _ = _channel_vector(cube, cfg, SLOW_TIME_PAD)
-    n_ch = vector.size
-    nfft = int(n_ch * zero_pad)
+    spectra, doppler_bin, f_hat = _doppler_peak(cube)
+    m = np.arange(cube.samples.shape[0], dtype=float)
     delta_s = cfg.d / (2.0 * cfg.v_a)
+    coreg = np.exp(2j * np.pi * f_hat * m * delta_s)
+    quad = np.exp(1j * np.pi * m**2 * cfg.d**2 / (cube.lam * cfg.r_0))
+    vector = spectra[:, doppler_bin] * coreg * quad
+    nfft = int(vector.size * zero_pad)
     spectrum = np.abs(np.fft.fft(vector, nfft))
     peak = int(np.argmax(spectrum))
     f_space = float(np.fft.fftfreq(nfft, d=delta_s)[peak])
@@ -192,7 +183,7 @@ def vsar_estimate_vspace(cube: SlowTimeCube, cfg: RadarConfig,
     if f_space == -f_s / 2.0:
         f_space = f_s / 2.0
     v_space = -cube.lam * f_space / 2.0
-    v_s = cube.lam * cfg.v_a / cfg.d
+    v_s = cfg.blind_speeds(cube.lam).v_s
     if v_space == v_s / 2.0:
         v_space = -v_s / 2.0
     return v_space
@@ -202,8 +193,9 @@ def vsar_estimate_vspace(cube: SlowTimeCube, cfg: RadarConfig,
 # Monte Carlo harness
 
 def _mc_point(cfg: RadarConfig, xi_e: float, xi_index: int, trials: int,
-              seed: int, v_range: float) -> RmsePoint:
+              seed: int) -> RmsePoint:
     n_lam = len(cfg.lambdas)
+    v_range = float(cfg.size_report().size)
     squared = []
     failures = 0
     for trial in range(trials):
@@ -215,7 +207,7 @@ def _mc_point(cfg: RadarConfig, xi_e: float, xi_index: int, trials: int,
         obs = FoldedObservation(
             tuple(f.v_space + e for f, e in zip(folds, errors)), xi_e=xi_e)
         try:
-            result = search_retrieve(obs, cfg, v_range=v_range)
+            result = search_retrieve(obs, cfg)
         except (AmbiguousSolutionError, NoSolutionError):
             failures += 1
             continue
@@ -239,9 +231,8 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    v_range = float(cfg.size_report().size)
-    jobs = [(cfg, float(xi), i, trials, seed, v_range)
-            for i, xi in enumerate(xi_grid)]
+    cfg.size_report()  # enumerate once here, not in every worker
+    jobs = [(cfg, float(xi), i, trials, seed) for i, xi in enumerate(xi_grid)]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             points = list(pool.map(_mc_point, *zip(*jobs)))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -177,7 +177,7 @@ def _circular_mean(values, modulus: float) -> float:
     return (np.angle(z) / (2 * np.pi) * modulus) % modulus
 
 
-def robust_crt(remainders, moduli, search_range=None) -> RetrievalResult:
+def robust_crt(remainders, moduli) -> RetrievalResult:
     """Closed-form robust reconstruction from erroneous real remainders.
 
     Parameters
@@ -185,10 +185,11 @@ def robust_crt(remainders, moduli, search_range=None) -> RetrievalResult:
     remainders : centered remainders, one per modulus (may carry bounded error)
     moduli : positive commensurable reals ``m * gamma_i`` with pairwise
         coprime integers ``gamma_i``
-    search_range : half-open ``(lo, hi)`` interval assumed to contain the true
-        value; defaults to ``[-lcm/2, lcm/2)``.
 
-    The common residue modulo ``m`` is estimated by circular averaging, the
+    The value is recoverable only modulo ``lcm`` of the moduli, so the
+    estimate is returned as its representative in ``[-lcm/2, lcm/2)``: a
+    noisy estimate just past ``+lcm/2`` wraps to the negative end.  The
+    common residue modulo ``m`` is estimated by circular averaging, the
     per-modulus quotients follow by rounding, and the quotients' own remainder
     system is solved exactly.  The estimate is the mean of the per-modulus
     unfolded values, so independent errors average down.  Exact recovery of
@@ -207,14 +208,9 @@ def robust_crt(remainders, moduli, search_range=None) -> RetrievalResult:
     m = float(m_frac)
     lcm = float(lcm_frac)
     mods = [float(as_fraction(v)) for v in moduli]
-    if search_range is None:
-        search_range = (-lcm / 2, lcm / 2)
-    lo, hi = float(search_range[0]), float(search_range[1])
-    if not hi > lo:
-        raise ConfigurationError(f"empty search range ({lo}, {hi})")
 
-    # Shift so candidates live in [0, width); remainders shift congruently.
-    shift = -lo
+    # Shift so candidates live in [0, lcm); remainders shift congruently.
+    shift = lcm / 2
     shifted = [(r + shift) % mod for r, mod in zip(rems, mods)]
     common = [r % m for r in shifted]
     r_c = _circular_mean(common, m)
@@ -236,26 +232,7 @@ def robust_crt(remainders, moduli, search_range=None) -> RetrievalResult:
             f"correctable bound {m / 2:.6g}", candidates=unfolds)
     estimate = float(np.mean(unfolds))
     residual = max(abs(u - estimate) for u in unfolds)
-
-    # The solution is unique modulo lcm; pick the representative in range.
-    base = estimate - shift
-    k_lo = math.ceil((lo - base) / lcm - 1e-12)
-    k_hi = math.floor((hi - base - 1e-12) / lcm)
-    reps = [base + k * lcm for k in range(k_lo, k_hi + 1)]
-    if not reps:
-        # Bounded noise can push an estimate just past a range edge; accept a
-        # spill of up to m/4 rather than failing on boundary truths.
-        if lo - m / 4 <= base < hi + m / 4:
-            reps = [base]
-        else:
-            raise NoSolutionError(
-                f"no candidate in [{lo}, {hi}); residue class representative "
-                f"is {base:.6g} (mod {lcm:.6g})")
-    if len(reps) > 1:
-        raise AmbiguousSolutionError(
-            f"{len(reps)} candidates in [{lo}, {hi}) fit the remainders "
-            "equally well", candidates=reps)
-    v_hat = reps[0]
+    v_hat = centered_remainder(estimate - shift, lcm)
     n_unfold = tuple(round((v_hat - r) / mod) for r, mod in zip(rems, mods))
     integers = AmbiguityIntegers(n_t=n_unfold, n_s=(0,) * len(rems))
     return RetrievalResult(v_hat=v_hat, integers=integers,
@@ -328,8 +305,8 @@ def theorem1_solve(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
     q = case.p_over_q.denominator
     reduced = [vs / q for vs in vss]
     zetas = [centered_remainder(v, float(r)) for v, r in zip(obs.v_space, reduced)]
-    v_lb = theorem1_range(cfg)
-    inner = robust_crt(zetas, reduced, (-v_lb / 2, v_lb / 2))
+    # lcm(v_s/q) = lcm(v_s)/q, so the reconstruction range is [-v_lb/2, v_lb/2).
+    inner = robust_crt(zetas, reduced)
     folds = fold_per_wavelength(inner.v_hat, cfg)
     integers = AmbiguityIntegers(
         n_t=tuple(f.n_t for f in folds),
@@ -474,16 +451,12 @@ def _nearest_integers(obs: FoldedObservation, cfg: RadarConfig, v_hat: float,
             n_t.append(round((v_hat - v_obs) / vt))
             n_s.append(0)
             continue
-        nts, nss = _integer_grid(v_range, vt, vs)
-        best = None
-        for nt in nts:
-            for ns in nss:
-                err = abs(v_obs + ns * vs + nt * vt - v_hat)
-                key = (err, int(nt), int(ns))
-                if best is None or key < best:
-                    best = key
-        n_t.append(best[1])
-        n_s.append(best[2])
+        NT, NS = (a.ravel() for a in np.meshgrid(*_integer_grid(v_range, vt, vs),
+                                                 indexing="ij"))
+        err = np.abs(v_obs + NS * vs + NT * vt - v_hat)
+        best = np.lexsort((NS, NT, err))[0]
+        n_t.append(int(NT[best]))
+        n_s.append(int(NS[best]))
     return tuple(n_t), tuple(n_s)
 
 

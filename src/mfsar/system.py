@@ -121,8 +121,9 @@ class RadarConfig:
                 f"blind-speed ratio {ratio} does not reduce to a rational with "
                 f"denominator <= {_RATIO_MAX_DENOMINATOR}"
             )
-        vts = tuple(lam * f_p / 2 for lam in lams)
-        vss = tuple(lam * v_a / d for lam in lams)
+        pairs = [blind_speeds(lam, f_p, v_a, d) for lam in lams]
+        vts = tuple(pair.v_t for pair in pairs)
+        vss = tuple(pair.v_s for pair in pairs)
         object.__setattr__(self, "_ratio", ratio)
         object.__setattr__(self, "_moduli", (vts, vss))
         object.__setattr__(self, "_observed", tuple(map(min, vts, vss)))

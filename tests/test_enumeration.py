@@ -106,11 +106,6 @@ class TestDeterminableSize:
         with pytest.raises(ConfigurationError):
             determinable_size([20], [15])
 
-    def test_finer_step_same_size_for_integer_moduli(self):
-        rep_1 = determinable_size([20, 24], [15, 18], step=1)
-        rep_half = determinable_size([20, 24], [15, 18], step=Fraction(1, 2))
-        assert rep_half.size == rep_1.size
-
 
 class TestSizeSweep:
     def test_rows_and_csv(self, reference_config):

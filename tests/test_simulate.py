@@ -11,10 +11,12 @@ from conftest import make_config
 
 def test_simulate_estimate_retrieve_round_trip(reference_config):
     # Noiseless captures on both bands; the spatial estimate is quantised to
-    # v_s/(m_ch*1000), well inside xi_e.
+    # v_s/(m_ch*1000), well inside xi_e.  -10 and -12 put the Doppler peak on
+    # the -f_p/2 bin of band 1 and band 2: the estimate must read the time
+    # fold's lower end, -v_t/2, as the model does.
     cfg = reference_config
     rng = np.random.default_rng(5)
-    for truth in rng.uniform(-59, 59, size=8):
+    for truth in [*rng.uniform(-59, 59, size=8), -10.0, -12.0]:
         truth = float(truth)
         motion = TargetMotion(v_y=truth, y_0=cfg.r_0)
         measured = []

@@ -74,18 +74,17 @@ class TestRobustCrt:
         assert np.std(errs) == pytest.approx(0.5 / np.sqrt(6), rel=0.15)
 
     def test_half_lcm_wraps_to_negative_end(self):
-        # truth at +lcm/2 is identified with -lcm/2 under the half-open range
-        rems = [forward_fold(24.0, ModulusPair(m, 1e9)).v_time for m in (12.0, 16.0)]
-        res = robust_crt(rems, [12, 16])
-        assert res.v_hat == pytest.approx(-24.0, abs=1e-9)
-
-    def test_out_of_range_class_raises_no_solution(self):
-        with pytest.raises(NoSolutionError):
-            robust_crt([2.4, 2.4], [5, 6], search_range=(-2.0, 2.0))
-
-    def test_wide_range_raises_ambiguous(self):
-        with pytest.raises(AmbiguousSolutionError):
-            robust_crt([0.0, 0.0], [5, 6], search_range=(-45.0, 45.0))
+        # The answer lies in [-lcm/2, lcm/2) = [-24, 24): a truth at +lcm/2 is
+        # identified with -lcm/2, and an estimate pushed across either end by
+        # the measurement error (+-0.3 here) wraps to the other end.
+        for truth, error, v_hat, n in [(24.0, 0.0, -24.0, (-2, -1)),
+                                       (23.9, 0.3, -23.8, (-2, -1)),
+                                       (-23.9, -0.3, 23.8, (2, 1))]:
+            rems = [forward_fold(truth + error, ModulusPair(m, 1e9)).v_time
+                    for m in (12.0, 16.0)]
+            res = robust_crt(rems, [12, 16])
+            assert res.v_hat == pytest.approx(v_hat, abs=1e-9)
+            assert res.integers.n_t == n
 
     def test_non_coprime_reduction_rejected(self):
         with pytest.raises(ConfigurationError, match="coprime"):
@@ -108,11 +107,11 @@ class TestRobustCrt:
             worst = np.maximum(worst, np.minimum(delta, m - delta))
         assert worst.min() == pytest.approx(0.3, abs=1e-3)
         with pytest.raises(NoSolutionError):
-            robust_crt(rems, moduli, search_range=(-15.0, 15.0))
+            robust_crt(rems, moduli)
 
     def test_nearly_consistent_remainders_are_solved(self):
         # v = 11 reproduces these remainders to within 0.05 < m/4.
-        res = robust_crt([0.95, -0.95, 0.95], [2, 3, 5], search_range=(-15.0, 15.0))
+        res = robust_crt([0.95, -0.95, 0.95], [2, 3, 5])
         assert res.v_hat == pytest.approx(11.0, abs=0.05)
 
 

@@ -19,13 +19,12 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .enumeration import size_sweep, sweep_to_csv
+from .enumeration import _num, size_sweep, sweep_to_csv
 from .errors import (AmbiguousSolutionError, ConfigurationError,
                      EstimationFailure, NoSolutionError)
 from .folding import ModulusPair, centered_remainder, forward_fold
@@ -85,17 +84,10 @@ def _parse_grid(spec: str):
     return np.arange(lo, hi, step)
 
 
-def _frac_str(value) -> str:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(int(value))
-    return str(float(value))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_classify(args) -> int:
-    cfg = load_config(args.config)
+def cmd_classify(args, cfg: RadarConfig) -> int:
     case = classify_case(cfg)
     vts, vss = cfg.exact_moduli()
     report = {
@@ -162,8 +154,7 @@ def _parse_observations(args, cfg: RadarConfig) -> FoldedObservation:
     return FoldedObservation(v_space=v_space, xi_e=args.xi_e)
 
 
-def cmd_retrieve(args) -> int:
-    cfg = load_config(args.config)
+def cmd_retrieve(args, cfg: RadarConfig) -> int:
     obs = _parse_observations(args, cfg)
     case = classify_case(cfg)
     method = args.method
@@ -206,8 +197,7 @@ def cmd_retrieve(args) -> int:
     return EXIT_OK
 
 
-def cmd_fold(args) -> int:
-    cfg = load_config(args.config)
+def cmd_fold(args, cfg: RadarConfig) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
         lines = ["v_r,lambda,v_time,n_t,v_space,n_s,estimated"]
@@ -229,8 +219,7 @@ def cmd_fold(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg: RadarConfig) -> int:
     lam = cfg.lambdas[args.lambda_index - 1]
     curve = sweep_determinable_size(cfg, lam, args.vary, _parse_grid(args.grid))
     lines = [f"{args.vary},size"]
@@ -239,8 +228,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_enumerate(args, cfg: RadarConfig) -> int:
     if args.pairs:
         pairs = []
         for chunk in args.pairs.split(";"):
@@ -255,16 +243,15 @@ def cmd_enumerate(args) -> int:
     lines = []
     for (lam1, lam2), vt1, vs1, vt2, vs2, rep in rows:
         lines.append(
-            f"({lam1:g}, {lam2:g}) m: V_T=({_frac_str(vt1)}, {_frac_str(vt2)}), "
-            f"V_S=({_frac_str(vs1)}, {_frac_str(vs2)}), "
-            f"lower {_frac_str(rep.v_lb)}, size {_frac_str(rep.size)}, "
-            f"upper {_frac_str(rep.v_ub)} m/s")
+            f"({lam1:g}, {lam2:g}) m: V_T=({_num(vt1)}, {_num(vt2)}), "
+            f"V_S=({_num(vs1)}, {_num(vs2)}), "
+            f"lower {_num(rep.v_lb)}, size {_num(rep.size)}, "
+            f"upper {_num(rep.v_ub)} m/s")
     _emit(args, "\n".join(lines), cfg)
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_simulate(args, cfg: RadarConfig) -> int:
     lam = cfg.lambdas[args.lambda_index - 1]
     motion = TargetMotion(v_x=args.vx, v_y=args.vr, y_0=cfg.r_0)
     cube = simulate_echo(cfg, motion, lam, args.pulses,
@@ -293,8 +280,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_montecarlo(args) -> int:
-    cfg = load_config(args.config)
+def cmd_montecarlo(args, cfg: RadarConfig) -> int:
     n = int(round((args.xi_start - args.xi_stop) / args.xi_step))
     xi_grid = [round(args.xi_start - k * args.xi_step, 10) for k in range(n + 1)]
     curve = monte_carlo_rmse(cfg, xi_grid, trials=args.trials, seed=args.seed,
@@ -389,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,10 +4,13 @@ A moving target's radial velocity is observed through two nested modulo
 reductions: pulse-rate sampling folds it by the time-domain blind speed
 ``v_t = lambda * f_p / 2``, and the cross-channel interferometric phase folds
 the result again by the space-domain blind speed ``v_s = lambda * v_a / d``.
-Both reductions use the same half-open centered interval ``[-b/2, b/2)``.
+Both reductions use the same half-open centered interval ``[-b/2, b/2)``, and
+one kernel, ``_split``, applies it everywhere: the scalar and grid folds, the
+oracle's distance and the simulator's DFT bins.
 
-The two scalar operators accept floats or exact :class:`fractions.Fraction`
-values; results are exact whenever the inputs are.
+The operators accept ints, floats, exact :class:`fractions.Fraction` values
+and numpy arrays.  Results are exact whenever the inputs are, and a float
+gets the folding integer of its exact value.
 """
 
 from __future__ import annotations
@@ -65,32 +68,28 @@ class FoldResult:
 def _split(a, b):
     """Return ``(n, r)`` with ``a == n*b + r`` and ``r`` in ``[-b/2, b/2)``.
 
-    Works on floats and Fractions alike.  The fold-up branch triggers at
-    exactly ``r >= b/2`` so the interval is half-open on the right.
+    ``divmod`` floors the exact quotient (it is built on the exact ``fmod``),
+    element by element for arrays, so a float on a fold boundary lands on the
+    side its exact value does.  The fold-up at exactly ``r == b/2`` makes the
+    interval half-open on the right.  ``n`` is a float for float input.
     """
     if not b > 0:
         raise ConfigurationError(f"modulus must be positive, got {b}")
-    half = b / 2
-    if -half <= a < half:
+    array = isinstance(a, np.ndarray)
+    if not array and -b <= 2 * a < b:
         # Inside the principal interval the remainder is the input, exactly.
         return 0, a
-    q = math.floor(a / b)
-    r = a - q * b
-    # Float guard: division rounding can land r a hair outside [0, b).
-    if r < 0:
-        q -= 1
-        r += b
-    elif r >= b:
-        q += 1
-        r -= b
-    if 2 * r >= b:
-        return q + 1, r - b
-    return q, r
+    n, r = divmod(a, b)
+    up = 2 * r >= b
+    n, r = n + up, r - up * b
+    # divmod lifts a negative float remainder by b, which rounds: keep the
+    # elements inside the interval exact, as the scalar branch does.
+    return n, (np.where(n == 0, a, r) if array else r)
 
 
 def bracket_fold(a, b):
     """Folding integer of ``a`` modulo ``b``: the ``n`` with ``a - n*b`` in ``[-b/2, b/2)``."""
-    return _split(a, b)[0]
+    return int(_split(a, b)[0])
 
 
 def centered_remainder(a, b):
@@ -122,31 +121,18 @@ def forward_fold(v_r, moduli: ModulusPair) -> FoldResult:
     """Fold a radial velocity through the time modulus, then the space modulus."""
     n_t, v_time = _split(v_r, moduli.v_t)
     n_s, v_space = _split(v_time, moduli.v_s)
-    return FoldResult(v_time=v_time, v_space=v_space, n_t=n_t, n_s=n_s)
+    return FoldResult(v_time=v_time, v_space=v_space, n_t=int(n_t), n_s=int(n_s))
 
 
 def forward_fold_grid(v_r, v_t, v_s):
     """Vectorised cascade fold of an array of radial velocities.
 
-    Returns ``(v_time, v_space, n_t, n_s)`` arrays; same branch behaviour as
-    the scalar operators (fold-up at exactly ``b/2``).
+    Returns ``(v_time, v_space, n_t, n_s)`` arrays, split element by element
+    by the scalar operators' kernel.
     """
-
-    def split(a, b):
-        q = np.floor(a / b)
-        r = a - q * b
-        low = r < 0
-        q = q - low
-        r = r + low * b
-        high = r >= b
-        q = q + high
-        r = r - high * b
-        up = r >= b / 2
-        return q + up, r - up * b
-
     v_r = np.asarray(v_r, dtype=float)
-    n_t, v_time = split(v_r, float(v_t))
-    n_s, v_space = split(v_time, float(v_s))
+    n_t, v_time = _split(v_r, float(v_t))
+    n_s, v_space = _split(v_time, float(v_s))
     return v_time, v_space, n_t.astype(int), n_s.astype(int)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSolutionError, EstimationFailure, NoSolutionError
+from .folding import centered_remainder
 from .solvers import FoldedObservation, fold_per_wavelength, search_retrieve
 from .system import RadarConfig, TargetMotion
 
@@ -126,8 +127,10 @@ def _doppler_peak(cube: SlowTimeCube):
     """Dechirped, padded slow-time spectra of all channels, the reference
     channel's peak bin and its folded Doppler ``f_hat`` in (-f_p/2, f_p/2].
 
-    The bin labelled -f_p/2 is reported as +f_p/2, i.e. as the velocity
-    -v_t/2 at the lower end of the time fold's interval.
+    The signed bin comes from the folding kernel, not from ``fftfreq``
+    labels: ``f_hat = -centered_remainder(-peak, nfft) * f_p / nfft``, so the
+    Nyquist bin reads exactly +f_p/2, i.e. the velocity -v_t/2 at the lower
+    end of the time fold's interval, as the model folds it.
     """
     n = cube.samples.shape[1]
     t = slow_time_axis(n, cube.f_p)
@@ -140,9 +143,7 @@ def _doppler_peak(cube: SlowTimeCube):
         raise EstimationFailure(
             f"no spectral peak: max {magnitude[peak]:.3g} is below three times "
             f"the mean level {magnitude.mean():.3g}")
-    f_hat = float(np.fft.fftfreq(nfft, d=1.0 / cube.f_p)[peak])
-    if f_hat == -cube.f_p / 2.0:
-        f_hat = cube.f_p / 2.0
+    f_hat = -centered_remainder(-peak, nfft) * cube.f_p / nfft
     return spectra, peak, f_hat
 
 
@@ -166,8 +167,10 @@ def vsar_estimate_vspace(cube: SlowTimeCube, cfg: RadarConfig,
     same side of the time fold.
 
     ``zero_pad`` multiplies the channel count in the spatial DFT and sets the
-    velocity quantisation ``v_s / (m_ch * zero_pad)``.  The peak spatial
-    frequency in (-F_s/2, F_s/2] maps to a velocity in [-v_s/2, v_s/2).
+    velocity quantisation ``v_s / (m_ch * zero_pad)``.  The peak bin maps
+    to ``lam/2 * centered_remainder(-peak, nfft) / (nfft*delta_s)``, which
+    lies in [-v_s/2, v_s/2) by construction: the Nyquist bin reads -v_s/2,
+    as the model folds it.
     """
     spectra, doppler_bin, f_hat = _doppler_peak(cube)
     m = np.arange(cube.samples.shape[0], dtype=float)
@@ -178,15 +181,7 @@ def vsar_estimate_vspace(cube: SlowTimeCube, cfg: RadarConfig,
     nfft = int(vector.size * zero_pad)
     spectrum = np.abs(np.fft.fft(vector, nfft))
     peak = int(np.argmax(spectrum))
-    f_space = float(np.fft.fftfreq(nfft, d=delta_s)[peak])
-    f_s = 1.0 / delta_s
-    if f_space == -f_s / 2.0:
-        f_space = f_s / 2.0
-    v_space = -cube.lam * f_space / 2.0
-    v_s = cfg.blind_speeds(cube.lam).v_s
-    if v_space == v_s / 2.0:
-        v_space = -v_s / 2.0
-    return v_space
+    return cube.lam / 2.0 * centered_remainder(-peak, nfft) / (nfft * delta_s)
 
 
 # ---------------------------------------------------------------------------

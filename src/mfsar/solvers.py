@@ -482,9 +482,7 @@ def brute_force_oracle(obs: FoldedObservation, cfg: RadarConfig,
 
     def chan_distance(v, v_obs, vt, vs, mod):
         _, v_space, _, _ = forward_fold_grid(v, vt, vs)
-        mod = float(mod)
-        delta = np.abs(np.asarray(v_space) - v_obs) % mod
-        return np.minimum(delta, mod - delta)
+        return np.abs(centered_remainder(v_space - v_obs, float(mod)))
 
     score = np.zeros_like(grid)
     for band in bands:

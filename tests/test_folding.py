@@ -25,6 +25,9 @@ class TestBracketFold:
         assert bracket_fold(-6, 9) == -1
         assert bracket_fold(59, 24) == 2
         assert bracket_fold(-60, 24) == -2
+        # -82.95/2.1 rounds to -39.5 in floats, but the float -82.95 lies
+        # just above -39.5 periods: the exact split is -39 and -1.05.
+        assert bracket_fold(-82.95, 2.1) == -39
 
     def test_zero(self):
         for b in (1, 2.5, 1000):
@@ -41,6 +44,7 @@ class TestCenteredRemainder:
     def test_worked_values(self):
         assert centered_remainder(17, 12) == 5
         assert centered_remainder(5, 9) == -4
+        assert centered_remainder(-82.95, 2.1) == pytest.approx(-1.05)
 
     def test_identity_inside_interval(self):
         for a, b in [(0.0, 4.0), (-2.0, 4.0), (1.99, 4.0), (-0.3, 10.0)]:
@@ -123,12 +127,15 @@ class TestForwardFold:
 
     def test_grid_matches_scalar(self):
         grid = np.linspace(-62.0, 62.0, 1241)
-        v_time, v_space, n_t, n_s = forward_fold_grid(grid, 20.0, 15.0)
-        for i in (0, 17, 401, 620, 990, 1240):
-            f = forward_fold(float(grid[i]), ModulusPair(20.0, 15.0))
-            assert v_time[i] == pytest.approx(f.v_time, abs=1e-12)
-            assert v_space[i] == pytest.approx(f.v_space, abs=1e-12)
-            assert n_t[i] == f.n_t and n_s[i] == f.n_s
+        cases = [(grid, 20.0, 15.0, (0, 17, 401, 620, 990, 1240)),
+                 (np.array([-82.95]), 2.1, 1e9, (0,))]
+        for values, vt, vs, picks in cases:
+            v_time, v_space, n_t, n_s = forward_fold_grid(values, vt, vs)
+            for i in picks:
+                f = forward_fold(float(values[i]), ModulusPair(vt, vs))
+                assert v_time[i] == pytest.approx(f.v_time, abs=1e-12)
+                assert v_space[i] == pytest.approx(f.v_space, abs=1e-12)
+                assert n_t[i] == f.n_t and n_s[i] == f.n_s
 
 
 class TestDoppler:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mfsar import (FoldedObservation, TargetMotion, fold_per_wavelength,
-                   monte_carlo_rmse, search_retrieve, simulate_echo,
-                   vsar_estimate_vspace)
+from mfsar import (FoldedObservation, TargetMotion, estimate_doppler,
+                   fold_per_wavelength, monte_carlo_rmse, search_retrieve,
+                   simulate_echo, vsar_estimate_vspace)
 from conftest import make_config
 
 
@@ -26,6 +26,21 @@ def test_simulate_estimate_retrieve_round_trip(reference_config):
             measured.append(v_space)
         res = search_retrieve(FoldedObservation(tuple(measured), xi_e=0.05), cfg)
         assert res.v_hat == pytest.approx(truth, abs=0.01)
+
+
+@pytest.mark.parametrize("f_p, v_r, f_hat, v_space", [
+    (1200.0, -15.0, 600.0, -3.0),
+    (600.0, -7.5, 300.0, 4.5),
+])
+def test_nyquist_bin_reads_the_lower_end_of_the_time_fold(f_p, v_r, f_hat, v_space):
+    # v_r = -v_t/2 puts the noiseless Doppler peak exactly on bin nfft/2.
+    # The model folds it to v_time = -v_t/2, i.e. Doppler +f_p/2, and both
+    # estimates must read that side exactly, whatever the bin's float label.
+    cfg = make_config(d=0.5, f_p=f_p, lambdas=(0.05, 0.06))
+    cube = simulate_echo(cfg, TargetMotion(v_y=v_r, y_0=cfg.r_0), 0.05, 100)
+    assert fold_per_wavelength(v_r, cfg)[0].v_space == pytest.approx(v_space)
+    assert estimate_doppler(cube) == f_hat
+    assert vsar_estimate_vspace(cube, cfg) == pytest.approx(v_space, abs=1e-9)
 
 
 def test_monte_carlo_is_identical_for_any_worker_count():

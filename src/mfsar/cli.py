@@ -84,6 +84,26 @@ def _parse_grid(spec: str):
     return np.arange(lo, hi, step)
 
 
+def _wavelength(cfg: RadarConfig, index: int) -> float:
+    """The wavelength at 1-based ``--lambda-index``, range-checked."""
+    if not 1 <= index <= len(cfg.lambdas):
+        raise ConfigurationError(
+            f"--lambda-index {index} outside 1..{len(cfg.lambdas)}")
+    return cfg.lambdas[index - 1]
+
+
+def _attach_grid(argv):
+    """Write ``--grid LO:HI:STEP`` as ``--grid=LO:HI:STEP``: argparse would
+    take a grid that starts below zero for an option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--grid" and ":" in arg:
+            joined[-1] = f"--grid={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -220,7 +240,7 @@ def cmd_fold(args, cfg: RadarConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RadarConfig) -> int:
-    lam = cfg.lambdas[args.lambda_index - 1]
+    lam = _wavelength(cfg, args.lambda_index)
     curve = sweep_determinable_size(cfg, lam, args.vary, _parse_grid(args.grid))
     lines = [f"{args.vary},size"]
     lines.extend(f"{value},{size}" for value, size in curve)
@@ -252,7 +272,7 @@ def cmd_enumerate(args, cfg: RadarConfig) -> int:
 
 
 def cmd_simulate(args, cfg: RadarConfig) -> int:
-    lam = cfg.lambdas[args.lambda_index - 1]
+    lam = _wavelength(cfg, args.lambda_index)
     motion = TargetMotion(v_x=args.vx, v_y=args.vr, y_0=cfg.r_0)
     cube = simulate_echo(cfg, motion, lam, args.pulses,
                          noise_db=args.noise_db, seed=args.seed)
@@ -373,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, load_config(args.config))
     except ConfigurationError as exc:

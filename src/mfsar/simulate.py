@@ -3,10 +3,10 @@
 The simulator generates the phase-only narrowband echo of one constant-velocity
 point target across a uniform along-track channel array: a second-order Taylor
 range model drives the per-pulse, per-channel phase.  The estimators mirror the
-measurement chain that produces the cascaded velocity folds: a pulse-rate DFT
-measures the folded Doppler, and the cross-channel DFT at that Doppler bin
-measures the space-folded velocity.  A Monte Carlo harness quantifies the
-retrieval accuracy of the searching solver against injected measurement error.
+measurement chain that produces the cascaded velocity folds: one pulse-rate FFT
+of the reference channel measures the folded Doppler, and a cross-channel DFT of
+every channel's bin at that Doppler measures the space-folded velocity.  A Monte
+Carlo harness quantifies retrieval accuracy against injected measurement error.
 
 The range envelope and migration are deliberately out of scope: this module
 validates folding and interferometry, not image formation.
@@ -124,60 +124,60 @@ def simulate_echo(cfg: RadarConfig, motion: TargetMotion, lam: float,
 
 
 def _doppler_peak(cube: SlowTimeCube):
-    """Dechirped, padded slow-time spectra of all channels, the reference
-    channel's peak bin and its folded Doppler ``f_hat`` in (-f_p/2, f_p/2].
+    """Dechirp ramp, peak bin of channel 0's padded slow-time FFT (the only
+    one taken), ``nfft`` and folded Doppler ``f_hat`` in (-f_p/2, f_p/2].
 
-    The signed bin comes from the folding kernel, not from ``fftfreq``
-    labels: ``f_hat = -centered_remainder(-peak, nfft) * f_p / nfft``, so the
-    Nyquist bin reads exactly +f_p/2, i.e. the velocity -v_t/2 at the lower
-    end of the time fold's interval, as the model folds it.
+    A peak not above three times the mean level (zero and NaN spectra
+    included) raises.  ``f_hat = -centered_remainder(-peak, nfft)*f_p/nfft``:
+    the Nyquist bin reads exactly +f_p/2, the time fold's lower end -v_t/2.
     """
     n = cube.samples.shape[1]
-    t = slow_time_axis(n, cube.f_p)
-    dechirped = cube.samples * np.exp(-1j * np.pi * cube.doppler_rate * t**2)[None, :]
+    ramp = np.exp(-1j * np.pi * cube.doppler_rate * slow_time_axis(n, cube.f_p) ** 2)
     nfft = n * SLOW_TIME_PAD
-    spectra = np.fft.fft(dechirped, nfft, axis=1)
-    magnitude = np.abs(spectra[0])
+    magnitude = np.abs(np.fft.fft(cube.samples[0] * ramp, nfft))
     peak = int(np.argmax(magnitude))
-    if magnitude[peak] < 3.0 * magnitude.mean():
+    if not magnitude[peak] > 3.0 * magnitude.mean():
         raise EstimationFailure(
-            f"no spectral peak: max {magnitude[peak]:.3g} is below three times "
-            f"the mean level {magnitude.mean():.3g}")
+            f"no spectral peak: max {magnitude[peak]:.3g} is not above three "
+            f"times the mean level {magnitude.mean():.3g}")
     f_hat = -centered_remainder(-peak, nfft) * cube.f_p / nfft
-    return spectra, peak, f_hat
+    return ramp, peak, nfft, f_hat
 
 
 def estimate_doppler(cube: SlowTimeCube) -> float:
     """Folded Doppler centroid of the reference channel, in (-f_p/2, f_p/2]."""
-    return _doppler_peak(cube)[2]
+    return _doppler_peak(cube)[3]
 
 
 def vsar_estimate_vspace(cube: SlowTimeCube, cfg: RadarConfig,
                          zero_pad: int = 1000) -> float:
     """Space-folded velocity from the cross-channel DFT at the Doppler peak.
 
-    The cross-channel sample at the peak bin is co-registered and
-    compensated first.  Co-registration shifts every channel by its
-    along-track lag ``d/(2*v_a)`` (a phase ramp on the folded Doppler
-    ``f_hat``, which is what imprints the time-folded velocity on the
+    The cross-channel sample is every channel's dechirped DFT bin at the
+    reference channel's peak, one matrix-vector product with the phase index
+    ``peak*k mod nfft`` reduced exactly.  Co-registration then shifts every
+    channel by its along-track lag ``d/(2*v_a)`` (a phase ramp on the folded
+    Doppler ``f_hat``, which imprints the time-folded velocity on the
     interferometric phase), and the static cross-channel quadratic phase is
-    removed.  The sample's phase is then linear in the channel index with
-    slope ``-2*pi*d*v_time/(lam*v_a)``.  ``f_hat`` is the one
-    :func:`estimate_doppler` reports, so at the Nyquist bin both read the
-    same side of the time fold.
+    removed, leaving a phase linear in the channel index with slope
+    ``-2*pi*d*v_time/(lam*v_a)``.  ``f_hat`` is :func:`estimate_doppler`'s, so
+    at the Nyquist bin both read the same side of the time fold.
 
-    ``zero_pad`` multiplies the channel count in the spatial DFT and sets the
-    velocity quantisation ``v_s / (m_ch * zero_pad)``.  The peak bin maps
-    to ``lam/2 * centered_remainder(-peak, nfft) / (nfft*delta_s)``, which
-    lies in [-v_s/2, v_s/2) by construction: the Nyquist bin reads -v_s/2,
-    as the model folds it.
+    ``zero_pad`` (at least 1) multiplies the channel count in the spatial DFT
+    and sets the velocity quantisation ``v_s / (m_ch * zero_pad)``.  The peak
+    bin maps to ``lam/2 * centered_remainder(-peak, nfft) / (nfft*delta_s)``,
+    in [-v_s/2, v_s/2) by construction: the Nyquist bin reads -v_s/2.
     """
-    spectra, doppler_bin, f_hat = _doppler_peak(cube)
+    if zero_pad < 1:
+        raise ValueError(f"zero_pad must be >= 1, got {zero_pad}")
+    ramp, doppler_bin, slow_nfft, f_hat = _doppler_peak(cube)
+    k = doppler_bin * np.arange(ramp.size) % slow_nfft
+    kernel = ramp * np.exp(-2j * np.pi * k / slow_nfft)
     m = np.arange(cube.samples.shape[0], dtype=float)
     delta_s = cfg.d / (2.0 * cfg.v_a)
     coreg = np.exp(2j * np.pi * f_hat * m * delta_s)
     quad = np.exp(1j * np.pi * m**2 * cfg.d**2 / (cube.lam * cfg.r_0))
-    vector = spectra[:, doppler_bin] * coreg * quad
+    vector = (cube.samples @ kernel) * coreg * quad
     nfft = int(vector.size * zero_pad)
     spectrum = np.abs(np.fft.fft(vector, nfft))
     peak = int(np.argmax(spectrum))

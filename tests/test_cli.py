@@ -89,3 +89,24 @@ def test_fold_estimated_column_is_the_observed_remainder(tmp_path, capsys):
     for row in rows:
         _, _, v_time, _, v_space, n_s, estimated = row.split(",")
         assert estimated == v_space == v_time and n_s == "0"
+
+
+@pytest.mark.parametrize("index", ["0", "3"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--vr", "3.0"],
+    ["sweep", "--vary", "f_p", "--grid", "700:900:100"],
+])
+def test_lambda_index_outside_the_config_is_refused(config_path, capsys, command, index):
+    code = main([*command, "--config", config_path, "--lambda-index", index])
+    assert code == EXIT_CONFIG
+    assert f"--lambda-index {index} outside 1..2" in capsys.readouterr().err
+
+
+def test_grid_below_zero_may_follow_a_space(config_path, capsys):
+    assert main(["fold", "--config", config_path, "--grid=-30:30:2.5"]) == EXIT_OK
+    attached = capsys.readouterr().out
+    assert main(["fold", "--config", config_path, "--grid", "-30:30:2.5"]) == EXIT_OK
+    assert capsys.readouterr().out == attached
+    assert main(["sweep", "--config", config_path, "--vary", "d",
+                 "--grid", "-0.4:0.5:0.1"]) == EXIT_CONFIG
+    assert "swept values must be positive" in capsys.readouterr().err

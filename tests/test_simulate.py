@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from mfsar import (FoldedObservation, TargetMotion, estimate_doppler,
-                   fold_per_wavelength, monte_carlo_rmse, search_retrieve,
-                   simulate_echo, vsar_estimate_vspace)
+from mfsar import (EstimationFailure, FoldedObservation, SlowTimeCube,
+                   TargetMotion, estimate_doppler, fold_per_wavelength,
+                   monte_carlo_rmse, search_retrieve, simulate_echo,
+                   vsar_estimate_vspace)
+from mfsar.folding import centered_remainder
+from mfsar.simulate import SLOW_TIME_PAD, slow_time_axis
 from conftest import make_config
 
 
@@ -41,6 +44,73 @@ def test_nyquist_bin_reads_the_lower_end_of_the_time_fold(f_p, v_r, f_hat, v_spa
     assert fold_per_wavelength(v_r, cfg)[0].v_space == pytest.approx(v_space)
     assert estimate_doppler(cube) == f_hat
     assert vsar_estimate_vspace(cube, cfg) == pytest.approx(v_space, abs=1e-9)
+
+
+def full_cube_estimates(cube, cfg, zero_pad):
+    """Reference: dechirp and FFT every channel, take channel 0's peak, then
+    read the cross-channel sample as that column of the spectra."""
+    n = cube.samples.shape[1]
+    t = slow_time_axis(n, cube.f_p)
+    dechirped = cube.samples * np.exp(-1j * np.pi * cube.doppler_rate * t**2)[None, :]
+    nfft = n * SLOW_TIME_PAD
+    spectra = np.fft.fft(dechirped, nfft, axis=1)
+    doppler_bin = int(np.argmax(np.abs(spectra[0])))
+    f_hat = -centered_remainder(-doppler_bin, nfft) * cube.f_p / nfft
+    m = np.arange(cube.samples.shape[0], dtype=float)
+    delta_s = cfg.d / (2.0 * cfg.v_a)
+    vector = (spectra[:, doppler_bin] * np.exp(2j * np.pi * f_hat * m * delta_s)
+              * np.exp(1j * np.pi * m**2 * cfg.d**2 / (cube.lam * cfg.r_0)))
+    nfft_s = vector.size * zero_pad
+    peak = int(np.argmax(np.abs(np.fft.fft(vector, nfft_s))))
+    return f_hat, cube.lam / 2.0 * centered_remainder(-peak, nfft_s) / (nfft_s * delta_s)
+
+
+def test_one_bin_estimates_match_the_full_cube_transform(reference_config):
+    cfg = reference_config
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        motion = TargetMotion(v_y=float(rng.uniform(-60, 60)), y_0=cfg.r_0)
+        for lam, v_s in zip(cfg.lambdas, cfg.exact_moduli()[1]):
+            cube = simulate_echo(cfg, motion, lam, 256, noise_db=10.0, seed=trial)
+            for zero_pad in (50, 1000):
+                f_ref, v_ref = full_cube_estimates(cube, cfg, zero_pad)
+                assert estimate_doppler(cube) == f_ref
+                quantum = float(v_s) / (cfg.m_ch * zero_pad)
+                v_space = vsar_estimate_vspace(cube, cfg, zero_pad=zero_pad)
+                assert abs(centered_remainder(v_space - v_ref, float(v_s))) <= quantum
+
+
+def test_each_estimate_transforms_one_channel(reference_config, monkeypatch):
+    fft, shapes = np.fft.fft, []
+
+    def recording_fft(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recording_fft)
+    cfg = reference_config
+    cube = simulate_echo(cfg, TargetMotion(v_y=7.0, y_0=cfg.r_0), 0.05, 256)
+    estimate_doppler(cube)
+    assert shapes == [(256,)]
+    shapes.clear()
+    vsar_estimate_vspace(cube, cfg)
+    assert shapes == [(256,), (cfg.m_ch,)]
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_cube_without_a_peak_is_refused(reference_config, fill):
+    cube = SlowTimeCube(np.full((8, 256), fill, dtype=complex), 800.0, 0.05)
+    with pytest.raises(EstimationFailure, match="no spectral peak"):
+        estimate_doppler(cube)
+    with pytest.raises(EstimationFailure, match="no spectral peak"):
+        vsar_estimate_vspace(cube, reference_config)
+
+
+def test_zero_pad_below_one_is_refused(reference_config):
+    cfg = reference_config
+    cube = simulate_echo(cfg, TargetMotion(v_y=7.0, y_0=cfg.r_0), 0.05, 64)
+    with pytest.raises(ValueError, match="zero_pad"):
+        vsar_estimate_vspace(cube, cfg, zero_pad=0)
 
 
 def test_monte_carlo_is_identical_for_any_worker_count():

@@ -5,9 +5,11 @@ through two nested modular folds: pulse-rate sampling folds it by the time
 blind speed, and the cross-channel interferometric phase folds the remainder
 again by the space blind speed.  This package models that cascade exactly,
 classifies system configurations by their fold structure, and retrieves the
-true velocity from multi-wavelength folded measurements by robust
-Chinese-remainder reconstruction and a bounded folding-integer search, with a
-slow-time phase simulator and a Monte Carlo harness for validation.
+true velocity from multi-wavelength folded measurements: by robust
+Chinese-remainder reconstruction in cases I and II, and in case III by an exact
+minimax search over the system's fold cells that answers only when the
+velocities consistent with the observations lie within ``2*xi_e`` of one
+another.  A slow-time phase simulator and a Monte Carlo harness validate it.
 """
 
 from .errors import (AmbiguousSolutionError, ConfigurationError,
@@ -15,11 +17,10 @@ from .errors import (AmbiguousSolutionError, ConfigurationError,
 from .folding import (FoldResult, ModulusPair, blind_speeds, bracket_fold,
                       centered_remainder, doppler_of, forward_fold,
                       forward_fold_grid)
-from .system import (CaseId, RadarConfig, SystemCase, TargetMotion, TargetType,
-                     azimuth_shift, classify_case, classify_target_type,
-                     config_from_dict, load_config, max_azimuth_shift,
-                     sweep_determinable_size, unambiguous_range,
-                     velocity_resolution)
+from .system import (CaseId, RadarConfig, SystemCase, TargetMotion,
+                     azimuth_shift, classify_case, config_from_dict,
+                     load_config, max_azimuth_shift, sweep_determinable_size,
+                     unambiguous_range)
 from .solvers import (AmbiguityIntegers, FoldedObservation, RetrievalResult,
                       brute_force_oracle, fold_per_wavelength, robust_crt,
                       search_retrieve, solve_case1, solve_case2,
@@ -36,14 +37,14 @@ __all__ = [
     "ConfigurationError", "EnumerationReport", "EstimationFailure",
     "FoldResult", "FoldedObservation", "ModulusPair", "NoSolutionError",
     "RadarConfig", "RetrievalResult", "RmseCurve", "RmsePoint",
-    "SlowTimeCube", "SystemCase", "TargetMotion", "TargetType",
+    "SlowTimeCube", "SystemCase", "TargetMotion",
     "azimuth_shift", "blind_speeds", "bracket_fold", "brute_force_oracle",
-    "centered_remainder", "classify_case", "classify_target_type",
+    "centered_remainder", "classify_case",
     "config_from_dict", "determinable_size", "doppler_of",
     "estimate_doppler", "fold_per_wavelength", "forward_fold",
     "forward_fold_grid", "lcm_rational", "load_config", "max_azimuth_shift",
     "monte_carlo_rmse", "robust_crt", "search_retrieve", "simulate_echo",
     "size_sweep", "solve_case1", "solve_case2", "sweep_determinable_size",
     "theorem1_range", "theorem1_solve", "unambiguous_range",
-    "velocity_resolution", "vsar_estimate_vspace", "__version__",
+    "vsar_estimate_vspace", "__version__",
 ]

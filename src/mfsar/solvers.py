@@ -11,11 +11,15 @@ velocity remainders of an unknown radial velocity, recover that velocity.
 * ``theorem1_solve`` -- reduces the cascaded (case III) fold to a single-fold
   problem with moduli ``v_s/q``; valid only when the true velocity magnitude
   stays below ``lcm(v_s)/(2q)``, and silently wrong outside (by design).
-* ``search_retrieve`` -- the full-range case III solver: one joint search over
-  the per-wavelength folding integers that minimises the worst
-  cross-wavelength disagreement.
-* ``brute_force_oracle`` -- an independent dense-grid scorer used to validate
-  the others; it knows nothing about integer structure.
+* ``search_retrieve`` -- the full-range case III solver: the exact minimum,
+  over the config's fold cells, of the oracle's objective, the worst
+  per-wavelength circular distance between a velocity's space remainder and
+  the observed one.  It answers only when the velocities consistent with the
+  observations (scoring within ``xi_e``, or tied with the best) lie within
+  ``2*xi_e`` of one another.
+* ``brute_force_oracle`` -- an independent dense-grid scorer of the same
+  objective used to validate the others; it knows nothing about integer
+  structure until it reports the integers of its answer.
 
 All solvers are pure and deterministic.  The reconstructing solvers report
 ties between distinct velocities as AmbiguousSolutionError, never guess.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +250,19 @@ def fold_per_wavelength(v_r: float, cfg: RadarConfig):
             for vt, vs in zip(vts, vss)]
 
 
+def _integers_at(obs: FoldedObservation, cfg: RadarConfig, v: float):
+    """Folding integers of ``v`` per wavelength, plus the wrap that carries
+    each observation onto its remainder: in ``n_t`` when the observation is
+    the time remainder (case I), in ``n_s`` otherwise."""
+    n_t, n_s = [], []
+    for fold, v_obs, m, vs in zip(fold_per_wavelength(v, cfg), obs.v_space,
+                                  cfg.observed_moduli(), cfg.exact_moduli()[1]):
+        wrap = bracket_fold(fold.v_space - v_obs, float(m))
+        n_t.append(fold.n_t + wrap * (m != vs))
+        n_s.append(fold.n_s + wrap * (m == vs))
+    return AmbiguityIntegers(n_t=tuple(n_t), n_s=tuple(n_s))
+
+
 def _require_case(cfg: RadarConfig, *allowed):
     case = classify_case(cfg)
     if case.case_id not in allowed:
@@ -268,18 +285,14 @@ def solve_case2(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
 
     The cascaded fold collapses to a single fold by the space blind speeds,
     so the aggregate integers ``n_st = n_s + k*n_t`` are recovered by the
-    closed-form reconstruction; the canonical per-fold split is derived from
-    the estimate afterwards (useful for relocation via the time remainder).
+    closed-form reconstruction; the per-fold split is the estimate's fold
+    plus each observation's wrap (useful for relocation via the time
+    remainder).
     """
     _require_case(cfg, CaseId.II)
     _check_observation(obs, cfg)
     inner = robust_crt(obs.v_space, cfg.observed_moduli())
-    folds = fold_per_wavelength(inner.v_hat, cfg)
-    integers = AmbiguityIntegers(
-        n_t=tuple(f.n_t for f in folds),
-        n_s=tuple(f.n_s for f in folds),
-        n_st=inner.integers.n_t,
-    )
+    integers = replace(_integers_at(obs, cfg, inner.v_hat), n_st=inner.integers.n_t)
     return RetrievalResult(v_hat=inner.v_hat, integers=integers,
                            method="closed_form_crt", residual=inner.residual)
 
@@ -319,100 +332,85 @@ def theorem1_solve(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
 # ---------------------------------------------------------------------------
 # searching solver (case III, full determinable range)
 
-def _integer_grid(v_range: float, vt: float, vs: float):
-    """Feasible (n_t, n_s) values for one wavelength of a case III search.
-
-    The time integers cover velocities across the whole determinable range;
-    the space integers cover time remainders across one time modulus.  The
-    upper ends use the range endpoint minus one step, matching the unit-step
-    enumeration that defines the range.
-    """
-    half = v_range / 2
-    nt = np.arange(bracket_fold(-half, vt), bracket_fold(half - 1, vt) + 1)
-    ns = np.arange(bracket_fold(-vt / 2, vs), bracket_fold(vt / 2 - 1, vs) + 1)
-    return nt, ns
-
-
-def _channel_tuples(v_obs: float, vt: float, vs: float, v_range: float, xi: float):
-    """All feasible single-channel unfolds: integer pairs, reconstruction
-    values, and the feasibility mask: the partial unfold inside the widened
-    time interval and the reconstruction inside the widened range
-    ``[-v_range/2 - xi, v_range/2 + xi)``."""
-    nt, ns = _integer_grid(v_range, vt, vs)
-    NT, NS = np.meshgrid(nt, ns, indexing="ij")
-    NT, NS = NT.ravel(), NS.ravel()
-    partial = v_obs + NS * vs          # velocity after undoing the space fold
-    recon = partial + NT * vt
-    lo, hi = -vt / 2 - xi, vt / 2 + xi
-    half = v_range / 2 + xi
-    feasible = (partial >= lo) & (partial < hi) & (recon >= -half) & (recon < half)
-    return NT, NS, recon, feasible
-
-
 def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
                     v_range: float | None = None) -> RetrievalResult:
-    """Full-range case III retrieval by one joint folding-integer search.
+    """Full-range case III retrieval by exact minimax over the fold cells.
 
-    Every feasible first-wavelength integer pair gives a candidate velocity
-    ``recon_1``.  Its score is the worst, over wavelengths ``i >= 2``, of the
-    smallest disagreement ``|recon_i - recon_1|`` between that wavelength's
-    feasible reconstructions and the candidate; the answer is the argmin
-    (with two wavelengths, the pairwise argmin).  Scores within
-    ``TIE_TOLERANCE`` of the minimum are tied.  Tied integer tuples that
-    reconstruct the same velocity count as one answer, reported with the
-    lexicographically smallest ``(n_t, n_s)`` per wavelength, the oracle's
-    rule; tied candidates at distinct velocities raise AmbiguousSolutionError
-    with those velocities as ``candidates`` -- ties are reported, never
-    guessed.  Candidates are confined to the retrieval range: every
-    reconstruction must lie in ``[-v_range/2 - xi_e, v_range/2 + xi_e)``,
-    where ``v_range`` defaults to the config's determinable size, so an alias
-    outside the range cannot tie with the in-range truth.  The estimate
-    averages all per-wavelength reconstructions, so independent measurement
-    errors shrink by the number of wavelengths.
+    The objective is the oracle's: the worst, over wavelengths, circular
+    distance between a velocity's space remainder and the observed one.  On
+    a fold cell (:meth:`RadarConfig.fold_cells`) band ``i`` reconstructs
+    ``r_i + c_i + j_i*v_s,i`` with a wrap ``j_i`` in {-1, 0, 1}, so per cell
+    and wraps the optimum is the clamped midrange of those reconstructions.
+
+    The velocities scoring at most ``max(best + TIE_TOLERANCE, xi_e)`` are
+    consistent.  When they span at most ``2*xi_e`` on the circle of
+    ``v_ub = lcm(v_t)``, the best one is returned, with its score as
+    ``residual`` and its cell's integers plus the wraps; otherwise
+    AmbiguousSolutionError carries the best velocity of each separate part
+    as ``candidates``.  Velocities lie in the determinable range, or in
+    ``[-v_range/2, v_range/2)`` for a narrower ``v_range``.
     """
     _require_case(cfg, CaseId.III)
     _check_observation(obs, cfg)
     if len(cfg.lambdas) < 2:
         raise ConfigurationError("the search needs at least two wavelengths")
-    vts_f, vss_f = cfg.exact_moduli()
-    if v_range is None:
-        v_range = float(cfg.size_report().size)
+    cells, rows = cfg.fold_cells(), slice(None)
+    lo, hi = cells.lo, cells.hi
+    if v_range is not None:
+        if v_range > cfg.size_report().size:
+            raise ConfigurationError(
+                f"v_range {v_range} exceeds the determinable size {cfg.size_report().size}")
+        rows = np.flatnonzero((hi > -v_range / 2) & (lo < v_range / 2))
+        lo, hi = np.maximum(lo[rows], -v_range / 2), np.minimum(hi[rows], v_range / 2)
+    m = np.array([float(v) for v in cfg.observed_moduli()])
+    base = cells.offsets[rows] + obs.v_space
+    # One wrap either way reaches every reconstruction: an observation lies
+    # within xi_e (< v_s/2) of its half-open interval.
+    wraps = np.indices((3,) * len(m)).reshape(len(m), -1).T - 1
 
-    # Feasible (n_t, n_s, reconstruction) arrays, one triple per wavelength.
-    bands = []
-    for i, (v_obs, vt, vs) in enumerate(zip(obs.v_space, vts_f, vss_f), start=1):
-        NT, NS, recon, ok = _channel_tuples(v_obs, float(vt), float(vs), v_range,
-                                            obs.xi_e)
-        if not ok.any():
-            raise NoSolutionError(f"no feasible folding integers for wavelength {i}")
-        bands.append((NT[ok], NS[ok], recon[ok]))
-    recon1 = bands[0][2]
-    gaps = [np.abs(recon[:, None] - recon1[None, :]) for _, _, recon in bands[1:]]
-    nearest = [gap.min(axis=0) for gap in gaps]
-    score = np.max(nearest, axis=0)
+    # Lower bound per cell: the largest circular distance from a band's
+    # observation to that band's remainders on the cell (negative inside).
+    # Score the cells it cannot exclude; when the best score found exceeds
+    # the limit they were kept by, widen the limit to it once.
+    outside = np.maximum(lo[:, None] - base, base - hi[:, None])
+    lower = np.minimum(outside, m - (hi - lo)[:, None] - outside).max(axis=1)
+    limit = max(lower.min(), obs.xi_e) + TIE_TOLERANCE
+    while True:
+        keep = np.flatnonzero(lower <= limit)
+        points = base[keep][:, None, :] + wraps * m     # kept cells x wraps x bands
+        low, high = points.min(axis=2), points.max(axis=2)
+        v = np.clip((low + high) / 2, lo[keep, None], hi[keep, None])
+        score = np.maximum(v - low, high - v)
+        best = score.min()
+        if best + TIE_TOLERANCE <= limit:
+            break
+        limit = best + TIE_TOLERANCE
 
-    # Every tied combination of per-wavelength tuples: (velocity, integers, unfolds).
-    answers = []
-    for c in np.flatnonzero(score <= score.min() + TIE_TOLERANCE):
-        rows = [[c]] + [np.flatnonzero(gap[:, c] <= near[c] + TIE_TOLERANCE)
-                        for gap, near in zip(gaps, nearest)]
-        for combo in itertools.product(*rows):
-            ints = tuple((int(NT[r]), int(NS[r])) for (NT, NS, _), r in zip(bands, combo))
-            unfolds = [float(recon[r]) for (_, _, recon), r in zip(bands, combo)]
-            answers.append((float(np.mean(unfolds)), ints, unfolds))
-    velocities = sorted(v for v, _, _ in answers)
-    if velocities[-1] - velocities[0] > TIE_TOLERANCE:
-        distinct = [v for v, prev in zip(velocities, [-math.inf] + velocities)
-                    if v - prev > TIE_TOLERANCE]
+    # The consistent set: per cell and wraps within the bound, the interval
+    # [high - bound, low + bound] of the cell.  Its span on the circle is v_ub
+    # less the widest gap; one interval spans up to 2*max(xi_e, TIE_TOLERANCE).
+    bound = max(best + TIE_TOLERANCE, obs.xi_e)
+    cell, wrap = np.nonzero(score <= bound)
+    starts = np.maximum(lo[keep][cell], high[cell, wrap] - bound)
+    ends = np.minimum(hi[keep][cell], low[cell, wrap] + bound)
+    order = np.argsort(starts)
+    starts, ends = starts[order], ends[order]
+    reach = np.maximum.accumulate(ends)
+    v_ub = float(cfg.size_report().v_ub)
+    gaps = np.append(starts[1:] - reach[:-1], starts[0] + v_ub - reach[-1])
+    if v_ub - gaps.max() > 2 * max(obs.xi_e, TIE_TOLERANCE) + TIE_TOLERANCE:
+        parts = np.split(order, np.flatnonzero(gaps[:-1] > TIE_TOLERANCE) + 1)
+        distinct = [float(v[cell[p], wrap[p]][np.argmin(score[cell[p], wrap[p]])])
+                    for p in parts]
         raise AmbiguousSolutionError(
-            f"{len(distinct)} distinct velocities fit the observations equally "
-            f"well: {[round(v, 6) for v in distinct]}", candidates=distinct)
-    v_hat, ints, unfolds = min(answers, key=lambda answer: answer[1])
-    residual = max(abs(u - v_hat) for u in unfolds)
-    integers = AmbiguityIntegers(n_t=tuple(t for t, _ in ints),
-                                 n_s=tuple(s for _, s in ints))
-    return RetrievalResult(v_hat=v_hat, integers=integers, method="search",
-                           residual=residual)
+            f"{len(distinct)} distinct velocities fit the observations within "
+            f"{bound:.6g}: {[round(x, 6) for x in distinct]}", candidates=distinct)
+    k, w = np.unravel_index(np.argmin(score), score.shape)
+    integers = AmbiguityIntegers(
+        n_t=tuple(int(x) for x in cells.n_t[rows][keep[k]]),
+        n_s=tuple(int(x) for x in cells.n_s[rows][keep[k]] + wraps[w]))
+    return RetrievalResult(v_hat=float(v[k, w]), integers=integers, method="search",
+                           residual=float(best))
 
 
 # ---------------------------------------------------------------------------
@@ -438,28 +436,6 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-9):
     return x, f(x)
 
 
-def _nearest_integers(obs: FoldedObservation, cfg: RadarConfig, v_hat: float,
-                      v_range: float):
-    """Per-wavelength folding integers most consistent with both the
-    observations and a velocity estimate (deterministic lexicographic ties)."""
-    case = classify_case(cfg)
-    vts_f, vss_f = cfg.exact_moduli()
-    n_t, n_s = [], []
-    for v_obs, vt_f, vs_f in zip(obs.v_space, vts_f, vss_f):
-        vt, vs = float(vt_f), float(vs_f)
-        if case.case_id is CaseId.I:
-            n_t.append(round((v_hat - v_obs) / vt))
-            n_s.append(0)
-            continue
-        NT, NS = (a.ravel() for a in np.meshgrid(*_integer_grid(v_range, vt, vs),
-                                                 indexing="ij"))
-        err = np.abs(v_obs + NS * vs + NT * vt - v_hat)
-        best = np.lexsort((NS, NT, err))[0]
-        n_t.append(int(NT[best]))
-        n_s.append(int(NS[best]))
-    return tuple(n_t), tuple(n_s)
-
-
 def brute_force_oracle(obs: FoldedObservation, cfg: RadarConfig,
                        v_range: float | None = None,
                        step: float = 0.01) -> RetrievalResult:
@@ -469,7 +445,8 @@ def brute_force_oracle(obs: FoldedObservation, cfg: RadarConfig,
     folded space remainder and the observed one, over all wavelengths, then
     refines the winner with one golden-section pass.  Always returns the best
     candidate together with its score (as ``residual``); it never raises for
-    unsolvable inputs, which makes it a safe comparison baseline.
+    unsolvable inputs, which makes it a safe comparison baseline.  Its
+    integers are the fold of the best candidate plus each observation's wrap.
     """
     if not step > 0:
         raise ConfigurationError(f"step must be positive, got {step}")
@@ -498,7 +475,5 @@ def brute_force_oracle(obs: FoldedObservation, cfg: RadarConfig,
     v_ref, s_ref = _golden_min(scalar_score, lo, hi)
     if s_ref < s_best:
         v_best, s_best = v_ref, s_ref
-    n_t, n_s = _nearest_integers(obs, cfg, v_best, v_range)
-    integers = AmbiguityIntegers(n_t=n_t, n_s=n_s)
-    return RetrievalResult(v_hat=v_best, integers=integers, method="oracle",
-                           residual=s_best)
+    return RetrievalResult(v_hat=v_best, integers=_integers_at(obs, cfg, v_best),
+                           method="oracle", residual=s_best)

@@ -25,7 +25,8 @@ derived, each exactly and at most once per instance:
   in case I, ``v_s`` in cases II and III (:meth:`RadarConfig.observed_moduli`);
 * on first use, then cached -- the determinable velocity size with its two
   bounds (:meth:`RadarConfig.size_report`), found by the enumeration walk of
-  :func:`enumeration.determinable_size`.
+  :func:`enumeration.determinable_size`, and the fold cells of that range
+  (:meth:`RadarConfig.fold_cells`), which the case III search scores.
 """
 
 from __future__ import annotations
@@ -37,29 +38,25 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import enumeration
 from .errors import ConfigurationError
-from .folding import ModulusPair, as_fraction, blind_speeds
+from .folding import ModulusPair, _split, as_fraction, blind_speeds
 
 __all__ = [
     "RadarConfig",
     "SystemCase",
     "CaseId",
     "TargetMotion",
-    "TargetType",
-    "SPEED_OF_LIGHT",
     "classify_case",
     "unambiguous_range",
     "azimuth_shift",
     "max_azimuth_shift",
-    "classify_target_type",
     "sweep_determinable_size",
-    "velocity_resolution",
     "load_config",
     "config_from_dict",
 ]
-
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 # Largest denominator q of the blind-speed ratio p/q.
 _RATIO_MAX_DENOMINATOR = 1000
@@ -71,12 +68,53 @@ class CaseId(enum.Enum):
     III = "III"
 
 
-class TargetType(enum.Enum):
-    """Image response class of a moving target (focused / smeared / refocusable)."""
+@dataclass(frozen=True, eq=False)
+class FoldCells:
+    """Fold-cell table of a system over its determinable range.
 
-    TYPE_I = "I"
-    TYPE_II = "II"
-    TYPE_III = "III"
+    Band ``i`` folds ``v`` to ``v - c_i`` with ``c_i = n_t*v_t + n_s*v_s``,
+    constant between fold edges: ``(k+1/2)*v_t``, and ``k*v_t + (j+1/2)*v_s``
+    inside time cell ``k``.  The cells ``[lo[k], hi[k])`` (m/s) refine every
+    band's edges; row ``k`` of ``n_t``, ``n_s`` and ``offsets`` holds each
+    band's integers and ``c_i`` on cell ``k``.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    n_t: np.ndarray
+    n_s: np.ndarray
+    offsets: np.ndarray
+
+
+def _fold_cells(vts, vss, size) -> FoldCells:
+    """Fold cells over ``[-size/2, size/2)``, found in whole units of
+    ``1/scale`` m/s as the enumeration walk does (object arrays where int64
+    could overflow); each cell's integers are the exact fold of its lower end."""
+    scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss, size / 2)))
+    half = int(size / 2 * scale)
+    t, s = ([x.numerator * scale // x.denominator for x in xs] for xs in (vts, vss))
+    dtype = np.int64 if half + 2 * max(t) < 2**62 else object
+    edges = [np.array([-half], dtype)]
+    for vt, vs in zip(t, s):
+        # Edges of one time cell relative to its centre: the time edge -vt/2,
+        # then the space edges (j - 1/2)*vs inside the cell.
+        rel = np.arange(_split(-vt // 2, vs)[0], _split(vt // 2 - 1, vs)[0] + 1,
+                        dtype=dtype) * vs - vs // 2
+        rel[0] = -vt // 2
+        k = np.arange(_split(-half, vt)[0], _split(half - 1, vt)[0] + 1, dtype=dtype)
+        band = (k[:, None] * vt + rel).ravel()
+        edges.append(band[(band > -half) & (band < half)])
+    # Sort and drop shared edges; np.unique's hash table costs 1.3 MB of
+    # resident memory on first use.
+    edges = np.sort(np.concatenate(edges))
+    lo = edges[np.append(True, edges[1:] > edges[:-1])]
+    hi = np.append(lo[1:], half)
+    t, s = np.array(t, dtype), np.array(s, dtype)
+    n_t = ((lo[:, None] + t // 2) // t).astype(int)
+    n_s = ((lo[:, None] - n_t * t + s // 2) // s).astype(int)
+    offsets = n_t * np.array([float(v) for v in vts]) + n_s * np.array([float(v) for v in vss])
+    return FoldCells(lo=lo.astype(float) / float(scale), hi=hi.astype(float) / float(scale),
+                     n_t=n_t, n_s=n_s, offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -153,6 +191,15 @@ class RadarConfig:
             report = enumeration.determinable_size(*self._moduli)
             object.__setattr__(self, "_size_report", report)
         return report
+
+    def fold_cells(self) -> FoldCells:
+        """Fold cells of the determinable range, built on the first call and
+        cached on the instance like :meth:`size_report`."""
+        cells = self.__dict__.get("_fold_cells")
+        if cells is None:
+            cells = _fold_cells(*self._moduli, self.size_report().size)
+            object.__setattr__(self, "_fold_cells", cells)
+        return cells
 
     def blind_speeds(self, lam: float) -> ModulusPair:
         """Blind-speed pair for one wavelength of this system."""
@@ -247,34 +294,11 @@ def max_azimuth_shift(cfg: RadarConfig, lam: float) -> float:
     return lam * cfg.f_p * cfg.r_0 / (4.0 * cfg.v_a)
 
 
-def classify_target_type(cfg: RadarConfig, lam: float, motion: TargetMotion,
-                         n_t: int) -> TargetType:
-    """Classify a moving target's image response.
-
-    The discriminant compares the target's effective cross-range velocity
-    offset ``|v_x - v_0|`` against a focus threshold; with a nonzero pulse-rate
-    folding integer the threshold switches from the dwell-time form to the
-    range-walk form.
-    """
-    if abs(motion.v_y) >= cfg.v_a:
-        raise ConfigurationError(
-            f"|v_y|={abs(motion.v_y)} must stay below the platform velocity {cfg.v_a}"
-        )
-    root = math.sqrt(cfg.v_a**2 - motion.v_y**2)
-    delta = 4.0 * root / (lam * cfg.r_0)
-    v_0 = cfg.v_a - root
-    offset = abs(motion.v_x - v_0)
-    if n_t == 0:
-        rho_1 = cfg.t_s**2
-        return TargetType.TYPE_I if offset <= 1.0 / (delta * rho_1) else TargetType.TYPE_II
-    rho_2 = (SPEED_OF_LIGHT / (lam * cfg.b_w * n_t * cfg.f_p)) ** 2
-    return TargetType.TYPE_III if offset <= 1.0 / (delta * rho_2) else TargetType.TYPE_II
-
-
 def _determinable_size_at(lam: float, f_p: float, v_a: float, d: float) -> float:
-    # The observed remainder is folded by the smaller blind speed.
-    pair = blind_speeds(lam, f_p, v_a, d)
-    return min(pair.v_t, pair.v_s)
+    # The observed remainder is folded by the smaller blind speed, taken from
+    # the exact moduli as everywhere else in the package.
+    pair = blind_speeds(*(as_fraction(x) for x in (lam, f_p, v_a, d)))
+    return float(min(pair.v_t, pair.v_s))
 
 
 def sweep_determinable_size(cfg: RadarConfig, lam: float, vary: str, grid) -> list:
@@ -294,7 +318,3 @@ def sweep_determinable_size(cfg: RadarConfig, lam: float, vary: str, grid) -> li
         out.append((value, _determinable_size_at(lam, **params)))
     return out
 
-
-def velocity_resolution(cfg: RadarConfig, lam: float) -> float:
-    """Velocity resolution of the cross-channel estimate: ``v_s/(m_ch - 1)``."""
-    return lam * cfg.v_a / (cfg.d * (cfg.m_ch - 1))

@@ -110,3 +110,10 @@ def test_grid_below_zero_may_follow_a_space(config_path, capsys):
     assert main(["sweep", "--config", config_path, "--vary", "d",
                  "--grid", "-0.4:0.5:0.1"]) == EXIT_CONFIG
     assert "swept values must be positive" in capsys.readouterr().err
+
+
+def test_sweep_prints_the_exact_blind_speed(config_path, capsys):
+    # v_s = 0.06*120/0.4 = 18 m/s exactly, below v_t at every swept PRF.
+    assert main(["sweep", "--config", config_path, "--vary", "f_p",
+                 "--grid", "700:900:100", "--lambda-index", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == "f_p,size\n700.0,18.0\n800.0,18.0\n"

@@ -16,9 +16,10 @@ from conftest import make_config
 
 # Five benchmark targets of the dual-band reference system: true velocity,
 # measured remainders, expected folding integers, and the two solver columns
-# (search average, reduced-modulus closed form).  The closed-form answers for
+# (search midrange, reduced-modulus closed form).  The closed-form answers for
 # the last two are deliberately wrong: those truths sit outside the +-15 m/s
-# validity interval of the reduced solver.
+# validity interval of the reduced solver.  Every remainder lies within 0.2
+# of the truth's fold, below the config's robustness radius of 0.25 m/s.
 BENCHMARK_TARGETS = [
     # (truth, obs1, obs2, n_t1, n_s1, n_t2, n_s2, v_search, v_closed)
     (8.36, -6.5791, 8.3173, 0, 1, 0, 0, 8.3691, 8.3691),
@@ -166,6 +167,9 @@ class TestSolveCase2:
             noise = rng.uniform(-0.25, 0.25, size=2)
             obs = FoldedObservation(tuple(f.v_space + e for f, e in zip(folds, noise)))
             res = solve_case2(obs, cfg)
+            # The per-fold split adds up to the recovered aggregate (k = 2).
+            assert [s + 2 * t for t, s in zip(res.integers.n_t, res.integers.n_s)] \
+                == list(res.integers.n_st)
             if abs(truth) < 21 - 0.5:
                 expected = [round((truth - o) / m)
                             for o, m in zip(obs.v_space, (6.0, 14.0))]
@@ -217,8 +221,11 @@ class TestTheorem1:
 class TestSearchRetrieve:
     @pytest.mark.parametrize("row", BENCHMARK_TARGETS)
     def test_benchmark_targets(self, reference_config, row):
+        # At the default xi_e 0.5, above the radius, rows 0, 1 and 3 each fit
+        # a second velocity (13.8691, -11.0496, 54.5415) and are ambiguous.
         truth, obs1, obs2, n_t1, n_s1, n_t2, n_s2, v_search, _ = row
-        res = search_retrieve(FoldedObservation((obs1, obs2)), reference_config)
+        res = search_retrieve(FoldedObservation((obs1, obs2), xi_e=0.2),
+                              reference_config)
         assert res.integers.n_t == (n_t1, n_t2)
         assert res.integers.n_s == (n_s1, n_s2)
         assert res.v_hat == pytest.approx(v_search, abs=1e-3)
@@ -237,10 +244,10 @@ class TestSearchRetrieve:
             search_retrieve(FoldedObservation((0.0, 0.0)), cfg)
 
     def test_crafted_tie_reports_ambiguous(self, reference_config):
-        # With a wide error bound, remainders (3.0, 2.5) of a zero-velocity
-        # target are fit equally well by the zero tuple and the unfold shifted
-        # one net modulus step: |2.5-3.0| = |8.5-8.0|.  The solver must report
-        # the tie, not pick a side.
+        # At xi_e 6, a third or more of the 15 and 18 m/s remainder circles,
+        # the velocities within 6 of both remainders (3.0, 2.5) fall into 16
+        # separate intervals spread over the whole +-60 m/s range.  The solver
+        # must report them, not pick one.
         obs = FoldedObservation((3.0, 2.5), xi_e=6.0)
         with pytest.raises(AmbiguousSolutionError) as err:
             search_retrieve(obs, reference_config)
@@ -253,6 +260,50 @@ class TestSearchRetrieve:
         assert cfg.size_report().size == 80
         res = search_retrieve(FoldedObservation((7.7191, -9.3423), xi_e=0.05), cfg)
         assert res.v_hat == pytest.approx(14.68, abs=0.05)
+
+    def test_phantom_tuples_do_not_tie_with_the_answer(self):
+        # Only velocities that fold back to the observations compete: 39.938
+        # fits within 0.013, the runner-up -16.0 only within 0.075 > xi_e.
+        cfg = make_config(lambdas=(0.07, 0.08))
+        obs = FoldedObservation((-9.0750, 7.9515), xi_e=0.05)
+        res = search_retrieve(obs, cfg)
+        assert res.v_hat == pytest.approx(39.938, abs=1e-3)
+        assert res.residual == pytest.approx(0.01325, abs=1e-6)
+
+    def test_consistent_velocities_far_apart_are_ambiguous(self):
+        # Truth 39.997, which fits within 0.029.  -15.985 fits within 0.012,
+        # and the velocities up to the range end 40.0 within xi_e: this
+        # config's robustness radius is about 0, so the minimiser alone would
+        # be silently wrong.
+        cfg = make_config(lambdas=(0.07, 0.08))
+        obs = FoldedObservation((-8.997079308153488, 8.02633228488439), xi_e=0.05)
+        with pytest.raises(AmbiguousSolutionError) as err:
+            search_retrieve(obs, cfg)
+        assert sorted(err.value.candidates) == pytest.approx([-15.985, 40.0], abs=1e-3)
+        # A narrower range leaves one of them; a wider one than the
+        # determinable size is refused.
+        assert search_retrieve(obs, cfg, 60.0).v_hat == pytest.approx(-15.985, abs=1e-3)
+        with pytest.raises(ConfigurationError, match="determinable size"):
+            search_retrieve(obs, cfg, 100.0)
+
+    @pytest.mark.parametrize("params", [
+        {}, {"lambdas": (0.05, 0.06, 0.07)},
+        *({"lambdas": (round(0.01 * k, 2), round(0.01 * (k + 1), 2))}
+          for k in range(2, 12))])
+    def test_never_scores_worse_than_the_oracle(self, params):
+        cfg = make_config(**params)
+        half = float(cfg.size_report().size) / 2
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            folds = fold_per_wavelength(float(rng.uniform(-half, half)), cfg)
+            noise = rng.uniform(-0.05, 0.05, size=len(folds))
+            obs = FoldedObservation(tuple(f.v_space + e for f, e in zip(folds, noise)),
+                                    xi_e=0.05)
+            try:
+                residual = search_retrieve(obs, cfg).residual
+            except AmbiguousSolutionError:
+                continue
+            assert residual <= brute_force_oracle(obs, cfg).residual + 1e-9
 
     def test_inconsistent_third_band_reports_no_solution(self):
         # Bands 1 and 2 fold v = 17; no velocity in the determinable range
@@ -291,6 +342,16 @@ class TestSearchRetrieve:
 
 
 class TestBruteForceOracle:
+    def test_case2_integers_are_the_physical_split(self):
+        # Of the splits that unfold (1.395, -0.605) onto 5.395, the fold of
+        # 5.395 itself: not n_t (0, 0), n_s (1, 1), which reconstructs it too.
+        cfg = make_config(d=0.6, lambdas=(0.02, 0.03))
+        obs = FoldedObservation((1.395, -0.605))
+        oracle = brute_force_oracle(obs, cfg)
+        expected = solve_case2(obs, cfg).integers
+        assert (oracle.integers.n_t, oracle.integers.n_s) == (expected.n_t, expected.n_s)
+        assert oracle.integers.n_t == (1, 0)
+
     def test_noiseless_scan(self, reference_config):
         truth = 17.01
         folds = fold_per_wavelength(truth, reference_config)

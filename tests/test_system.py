@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from mfsar import (CaseId, ConfigurationError, FoldedObservation,
-                   ModulusPair, RadarConfig, TargetMotion, TargetType,
-                   azimuth_shift, classify_case, classify_target_type,
+                   ModulusPair, RadarConfig, azimuth_shift, classify_case,
                    config_from_dict, determinable_size, fold_per_wavelength,
                    forward_fold, load_config, max_azimuth_shift,
                    search_retrieve, sweep_determinable_size,
-                   unambiguous_range, velocity_resolution)
+                   unambiguous_range)
 from mfsar import enumeration
 from conftest import make_config
 
@@ -91,6 +90,27 @@ class TestDerivedQuantities:
             assert search_retrieve(obs, cfg).v_hat == pytest.approx(17.0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("lambdas, count", [((0.05, 0.06), 33),
+                                                ((0.05, 0.06, 0.07), 315),
+                                                ((0.07, 0.08), 15)])
+    def test_fold_cells_refine_every_band_fold(self, lambdas, count):
+        cfg = make_config(lambdas=lambdas)
+        cells = cfg.fold_cells()
+        assert cfg.fold_cells() is cells
+        half = float(cfg.size_report().size) / 2
+        assert len(cells.lo) == count
+        assert cells.lo[0] == -half and cells.hi[-1] == half
+        assert (cells.lo[1:] == cells.hi[:-1]).all() and (cells.lo < cells.hi).all()
+        vts, vss = cfg.exact_moduli()
+        for k, (lo, hi) in enumerate(zip(cells.lo, cells.hi)):
+            for i, (vt, vs) in enumerate(zip(vts, vss)):
+                pair = ModulusPair(float(vt), float(vs))
+                for v in (lo, (lo + hi) / 2, np.nextafter(hi, lo)):
+                    fold = forward_fold(v, pair)
+                    assert (fold.n_t, fold.n_s) == (cells.n_t[k, i], cells.n_s[k, i])
+                assert cells.offsets[k, i] == pytest.approx(
+                    fold.n_t * float(vt) + fold.n_s * float(vs))
+
     def test_cached_size_stays_out_of_equality(self):
         cfg, fresh = make_config(), make_config()
         cfg.size_report()
@@ -141,49 +161,6 @@ class TestMaxAzimuthShift:
             2 * max_azimuth_shift(reference_config, 0.05))
 
 
-class TestTargetType:
-    def test_matched_cross_range_velocity_is_type1(self, reference_config):
-        motion = TargetMotion(v_x=0.1, v_y=5.0, y_0=10000.0)
-        root = np.sqrt(reference_config.v_a**2 - 25.0)
-        v_0 = reference_config.v_a - root
-        motion = TargetMotion(v_x=v_0, v_y=5.0, y_0=10000.0)
-        assert classify_target_type(reference_config, 0.05, motion, 0) is TargetType.TYPE_I
-
-    def test_unfolded_fast_cross_range_is_type2(self, reference_config):
-        motion = TargetMotion(v_x=30.0, v_y=5.0, y_0=10000.0)
-        assert classify_target_type(reference_config, 0.05, motion, 0) is TargetType.TYPE_II
-
-    def test_type_may_change_with_wavelength(self, reference_config):
-        # A target folded at one carrier but not the other changes class.
-        motion = TargetMotion(v_x=0.5, v_y=-11.0, y_0=10000.0)
-        v_r = motion.radial_velocity(reference_config.r_0)
-        types = []
-        for lam in reference_config.lambdas:
-            pair = reference_config.blind_speeds(lam)
-            n_t = forward_fold(v_r, pair).n_t
-            types.append(classify_target_type(reference_config, lam, motion, n_t))
-        assert len(set(types)) == 2
-
-    def test_outcomes_exclusive_and_exhaustive(self, reference_config):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            motion = TargetMotion(v_x=float(rng.uniform(-40, 40)),
-                                  v_y=float(rng.uniform(-40, 40)),
-                                  y_0=10000.0)
-            n_t = int(rng.integers(-3, 4))
-            result = classify_target_type(reference_config, 0.05, motion, n_t)
-            assert result in (TargetType.TYPE_I, TargetType.TYPE_II, TargetType.TYPE_III)
-            if n_t == 0:
-                assert result is not TargetType.TYPE_III
-            else:
-                assert result is not TargetType.TYPE_I
-
-    def test_range_velocity_at_platform_speed_rejected(self, reference_config):
-        with pytest.raises(ConfigurationError):
-            classify_target_type(reference_config, 0.05,
-                                 TargetMotion(v_y=120.0, y_0=1e4), 0)
-
-
 class TestSweepDeterminableSize:
     def test_grows_with_prf_then_saturates(self, reference_config):
         lam = 0.05
@@ -206,16 +183,6 @@ class TestSweepDeterminableSize:
     def test_nonpositive_grid_rejected(self, reference_config):
         with pytest.raises(ConfigurationError):
             sweep_determinable_size(reference_config, 0.05, "d", [0.0])
-
-
-class TestVelocityResolution:
-    def test_reference_values(self, reference_config):
-        assert velocity_resolution(reference_config, 0.05) == pytest.approx(15 / 7)
-        assert velocity_resolution(reference_config, 0.06) == pytest.approx(18 / 7)
-
-    def test_two_channels_give_full_blind_speed(self):
-        cfg = make_config(m_ch=2)
-        assert velocity_resolution(cfg, 0.05) == pytest.approx(15.0)
 
 
 class TestConfigJson:

@@ -6,6 +6,11 @@ determinable size against a parameter, ``enumerate`` dual-band determinable
 sizes, ``simulate`` a point-target capture end to end, and ``montecarlo`` the
 retrieval-error curve.
 
+The parser is built on the first :func:`main` call and reused for every
+later one in the same process; :func:`main` finds the subcommand's ``cmd_*``
+function by name when it runs, and ``montecarlo`` reads ``MFSAR_THREADS``
+(worker processes, default 1) only when ``--threads`` is not given.
+
 Exit codes: 0 success, 2 configuration error, 3 no solution, 4 ambiguous
 solution, 5 estimation failure.  Every file written via ``--out`` gets a
 ``<name>.manifest.json`` sibling recording the resolved inputs, so runs can be
@@ -35,7 +40,7 @@ from .solvers import (DEFAULT_ERROR_BOUND, FoldedObservation, brute_force_oracle
                       solve_case2, theorem1_range, theorem1_solve)
 from .system import (CaseId, RadarConfig, TargetMotion, azimuth_shift,
                      classify_case, load_config, max_azimuth_shift,
-                     sweep_determinable_size, unambiguous_range)
+                     sweep_determinable_size)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,7 +121,9 @@ def cmd_classify(args, cfg: RadarConfig) -> int:
         "p_over_q": None if case.p_over_q is None else str(case.p_over_q),
         "v_t": [float(v) for v in vts],
         "v_s": [float(v) for v in vss],
-        "unambiguous_range": [list(unambiguous_range(cfg, lam)) for lam in cfg.lambdas],
+        # system.unambiguous_range of each wavelength, from the compiled moduli.
+        "unambiguous_range": [[-float(m) / 2, float(m) / 2]
+                              for m in cfg.observed_moduli()],
         "max_azimuth_shift": [max_azimuth_shift(cfg, lam) for lam in cfg.lambdas],
     }
     if args.json:
@@ -230,6 +237,8 @@ def cmd_fold(args, cfg: RadarConfig) -> int:
                              f"{fold.v_space},{fold.n_s},{fold.v_space}")
         _emit(args, "\n".join(lines), cfg)
         return EXIT_OK
+    if args.vr is None:
+        raise ConfigurationError("fold needs --vr or --grid")
     folds = fold_per_wavelength(args.vr, cfg)
     lines = []
     for lam, fold in zip(cfg.lambdas, folds):
@@ -301,10 +310,17 @@ def cmd_simulate(args, cfg: RadarConfig) -> int:
 
 
 def cmd_montecarlo(args, cfg: RadarConfig) -> int:
+    if args.xi_step <= 0 or args.xi_start < args.xi_stop:
+        raise ConfigurationError(
+            f"bad xi grid {args.xi_start:g}:{args.xi_stop:g}:{args.xi_step:g}; "
+            "need --xi-step > 0 and --xi-start >= --xi-stop")
+    threads = args.threads
+    if threads is None:
+        threads = int(os.environ.get("MFSAR_THREADS", "1"))
     n = int(round((args.xi_start - args.xi_stop) / args.xi_step))
     xi_grid = [round(args.xi_start - k * args.xi_step, 10) for k in range(n + 1)]
     curve = monte_carlo_rmse(cfg, xi_grid, trials=args.trials, seed=args.seed,
-                             n_workers=args.threads)
+                             n_workers=threads)
     if args.csv:
         _emit(args, curve.to_csv(), cfg, seed=args.seed)
         return EXIT_OK
@@ -316,7 +332,15 @@ def cmd_montecarlo(args, cfg: RadarConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mfsar`` parser, built on the first call and returned by every
+    later one: building it costs more than most subcommands."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="mfsar",
         description="Multichannel SAR radial-velocity de-ambiguity toolkit")
@@ -332,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="report system case and blind speeds")
     common(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("retrieve", help="retrieve a velocity from observations")
     common(p)
@@ -344,27 +367,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-e", type=float, default=DEFAULT_ERROR_BOUND,
                    help="measurement error bound (m/s)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("fold", help="forward-fold velocities")
     common(p)
     p.add_argument("--vr", type=float, help="single velocity to fold")
     p.add_argument("--grid", help="lo:hi:step grid for a CSV sawtooth")
-    p.set_defaults(func=cmd_fold)
 
     p = sub.add_parser("sweep", help="determinable size vs one parameter")
     common(p)
     p.add_argument("--vary", required=True, choices=["f_p", "d", "v_a"])
     p.add_argument("--grid", required=True, help="lo:hi:step")
     p.add_argument("--lambda-index", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("enumerate", help="dual-band determinable sizes")
     common(p)
     p.add_argument("--pairs", help="semicolon-separated lambda pairs, "
                                    "e.g. '0.05,0.06;0.07,0.08'")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("simulate", help="simulate and measure one target")
     common(p, seed=True)
@@ -375,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-db", type=float, default=None)
     p.add_argument("--zero-pad", type=int, default=1000)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("montecarlo", help="retrieval RMSE vs error bound")
     common(p, seed=True)
@@ -384,18 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-step", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("MFSAR_THREADS", "1")),
-                   help="worker processes for the Monte Carlo points")
+                   help="worker processes for the Monte Carlo points "
+                        "(default: MFSAR_THREADS, else 1)")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_montecarlo)
 
+    _parser = parser
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args, load_config(args.config))
+        return globals()[f"cmd_{args.command}"](args, load_config(args.config))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

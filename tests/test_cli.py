@@ -1,12 +1,13 @@
 """Command-line front end: exit codes, manifests and per-subcommand options."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from mfsar import fold_per_wavelength
+from mfsar import cli, fold_per_wavelength, unambiguous_range
 from mfsar.cli import (EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_ESTIMATION,
-                       EXIT_NO_SOLUTION, EXIT_OK, main)
+                       EXIT_NO_SOLUTION, EXIT_OK, build_parser, main)
 from conftest import make_config
 
 
@@ -117,3 +118,82 @@ def test_sweep_prints_the_exact_blind_speed(config_path, capsys):
     assert main(["sweep", "--config", config_path, "--vary", "f_p",
                  "--grid", "700:900:100", "--lambda-index", "2"]) == EXIT_OK
     assert capsys.readouterr().out == "f_p,size\n700.0,18.0\n800.0,18.0\n"
+
+
+def test_threads_reads_the_environment_when_montecarlo_runs(config_path, monkeypatch):
+    # The parser is built by the first call, before the variable is set.
+    assert main(["classify", "--config", config_path]) == EXIT_OK
+    monkeypatch.setenv("MFSAR_THREADS", "2")
+    workers = []
+
+    def fake_monte_carlo_rmse(cfg, xi_grid, trials, seed, n_workers):
+        workers.append(n_workers)
+        return SimpleNamespace(points=[])
+
+    monkeypatch.setattr(cli, "monte_carlo_rmse", fake_monte_carlo_rmse)
+    montecarlo = ["montecarlo", "--config", config_path, "--trials", "1"]
+    assert main(montecarlo) == EXIT_OK
+    assert main([*montecarlo, "--threads", "1"]) == EXIT_OK
+    assert workers == [2, 1]
+
+
+def test_fold_needs_a_velocity_or_a_grid(config_path, capsys):
+    assert main(["fold", "--config", config_path]) == EXIT_CONFIG
+    assert "fold needs --vr or --grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi", [
+    ["--xi-step", "0"],
+    ["--xi-step", "-0.05"],
+    ["--xi-start", "0.1", "--xi-stop", "0.3"],
+])
+def test_montecarlo_refuses_a_bad_xi_grid(config_path, capsys, xi):
+    code = main(["montecarlo", "--config", config_path, "--trials", "1", *xi])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad xi grid" in captured.err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_rejected_argv_leaves_the_parser_usable(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", config_path, "--threads", "1"])
+        assert exc.value.code == 2
+        folds = fold_per_wavelength(17.0, make_config())
+        assert main(["retrieve", "--config", config_path, "--json", "--xi-e", "0.1",
+                     *obs_args(f.v_space for f in folds)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["v_hat"] == pytest.approx(17.0)
+
+    def test_obs_do_not_carry_over_between_calls(self, config_path, capsys):
+        for truth in (17.0, -23.5):
+            folds = fold_per_wavelength(truth, make_config())
+            assert main(["retrieve", "--config", config_path, "--json",
+                         "--xi-e", "0.1", *obs_args(f.v_space for f in folds)]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["v_hat"] == pytest.approx(truth)
+        # One wavelength short: a leaked --obs from the calls above would fill it.
+        assert main(["retrieve", "--config", config_path, "--obs=1=3.0"]) == EXIT_CONFIG
+        assert "1 given for 2" in capsys.readouterr().err
+
+    def test_subcommand_is_looked_up_when_main_runs(self, config_path, monkeypatch):
+        assert main(["classify", "--config", config_path]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_retrieve",
+                            lambda args, cfg: seen.append(args.obs) or 42)
+        assert main(["retrieve", "--config", config_path, "--obs=1=3.0"]) == 42
+        assert seen == [["1=3.0"]]
+
+
+@pytest.mark.parametrize("d", [0.2, 0.4, 0.6])
+def test_classify_range_is_each_wavelengths_unambiguous_range(tmp_path, capsys, d):
+    cfg = make_config(d=d)
+    path = write_config(tmp_path, d=d)
+    assert main(["classify", "--config", path, "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == {0.2: "I", 0.4: "III", 0.6: "II"}[d]
+    assert report["unambiguous_range"] == [list(unambiguous_range(cfg, lam))
+                                           for lam in cfg.lambdas]

@@ -20,7 +20,6 @@ reproduced bit-identically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -32,7 +31,7 @@ from . import __version__
 from .enumeration import _num, size_sweep, sweep_to_csv
 from .errors import (AmbiguousSolutionError, ConfigurationError,
                      EstimationFailure, NoSolutionError)
-from .folding import ModulusPair, centered_remainder, forward_fold
+from .folding import centered_remainder
 from .simulate import (estimate_doppler, monte_carlo_rmse, simulate_echo,
                        vsar_estimate_vspace)
 from .solvers import (DEFAULT_ERROR_BOUND, FoldedObservation, brute_force_oracle,
@@ -52,31 +51,15 @@ DEFAULT_ENUM_PAIRS = [(round(0.01 * k, 2), round(0.01 * (k + 1), 2))
                       for k in range(2, 12)]
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Provenance record written alongside every output file."""
-
-    subcommand: str
-    config: dict | None
-    seed: int | None
-    outputs: list
-    version: str = __version__
-
-    def write(self) -> None:
-        for out in self.outputs:
-            path = Path(str(out) + ".manifest.json")
-            path.write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n")
-
-
-def _emit(args, text: str, cfg: RadarConfig | None, seed: int | None = None) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-        RunManifest(subcommand=args.command,
-                    config=cfg.to_dict() if cfg else None,
-                    seed=seed, outputs=[out]).write()
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(args, text: str, cfg: RadarConfig, seed: int | None = None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    Path(args.out).write_text(text)
+    manifest = {"subcommand": args.command, "config": cfg.to_dict(), "seed": seed,
+                "outputs": [args.out], "version": __version__}
+    Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_grid(spec: str):
@@ -149,13 +132,21 @@ def _parse_observations(args, cfg: RadarConfig) -> FoldedObservation:
     if args.obs_csv:
         import csv as _csv
 
-        with open(args.obs_csv, newline="") as handle:
+        try:
+            handle = open(args.obs_csv, newline="")
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read observations {args.obs_csv}: {exc}") from exc
+        with handle:
             reader = _csv.DictReader(handle)
             if reader.fieldnames != ["lambda", "v_space"]:
                 raise ConfigurationError(
                     f"observation CSV must have header lambda,v_space, "
                     f"got {reader.fieldnames}")
             for row in reader:
+                if row["v_space"] is None:
+                    raise ConfigurationError(
+                        f"observation CSV line {reader.line_num} has no v_space")
                 lam = float(row["lambda"])
                 matches = [i for i, l in enumerate(cfg.lambdas)
                            if abs(l - lam) <= 1e-9 * max(1.0, abs(l))]
@@ -227,11 +218,10 @@ def cmd_retrieve(args, cfg: RadarConfig) -> int:
 def cmd_fold(args, cfg: RadarConfig) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
+        folds = [fold_per_wavelength(float(v_r), cfg) for v_r in grid]
         lines = ["v_r,lambda,v_time,n_t,v_space,n_s,estimated"]
-        for lam, vt, vs in zip(cfg.lambdas, *cfg.exact_moduli()):
-            pair = ModulusPair(v_t=float(vt), v_s=float(vs))
-            for v_r in grid:
-                fold = forward_fold(float(v_r), pair)
+        for lam, column in zip(cfg.lambdas, zip(*folds)):
+            for v_r, fold in zip(grid, column):
                 # In case I the space fold is the identity: v_space == v_time.
                 lines.append(f"{v_r},{lam},{fold.v_time},{fold.n_t},"
                              f"{fold.v_space},{fold.n_s},{fold.v_space}")
@@ -317,7 +307,9 @@ def cmd_montecarlo(args, cfg: RadarConfig) -> int:
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("MFSAR_THREADS", "1"))
-    n = int(round((args.xi_start - args.xi_stop) / args.xi_step))
+    # Whole steps that stay at or above --xi-stop; 1e-9 absorbs the float
+    # quotient falling just short of a whole number (0.3/0.1).
+    n = int((args.xi_start - args.xi_stop) / args.xi_step + 1e-9)
     xi_grid = [round(args.xi_start - k * args.xi_step, 10) for k in range(n + 1)]
     curve = monte_carlo_rmse(cfg, xi_grid, trials=args.trials, seed=args.seed,
                              n_workers=threads)
@@ -414,9 +406,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
     try:
         return globals()[f"cmd_{args.command}"](args, load_config(args.config))
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION

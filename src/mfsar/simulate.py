@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSolutionError, EstimationFailure, NoSolutionError
-from .folding import centered_remainder
+from .folding import centered_remainder, doppler_of
 from .solvers import FoldedObservation, fold_per_wavelength, search_retrieve
 from .system import RadarConfig, TargetMotion
 
@@ -105,7 +105,7 @@ def simulate_echo(cfg: RadarConfig, motion: TargetMotion, lam: float,
     t = slow_time_axis(n_pulses, cfg.f_p)[None, :]
     m = np.arange(cfg.m_ch, dtype=float)[:, None]
     v_r = motion.radial_velocity(cfg.r_0)
-    f_d = -2.0 * v_r / lam
+    f_d = doppler_of(v_r, lam)
     f_0 = (cfg.v_a - motion.v_x) * cfg.d / (lam * cfg.r_0)
     f_rt = -2.0 * ((cfg.v_a - motion.v_x) ** 2 + motion.v_y**2) / (lam * cfg.r_0)
     phi = m**2 * cfg.d**2 / (2.0 * cfg.r_0)

@@ -314,18 +314,25 @@ def theorem1_solve(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
     """
     case = _require_case(cfg, CaseId.II, CaseId.III)
     _check_observation(obs, cfg)
-    _, vss = cfg.exact_moduli()
+    vts, vss = cfg.exact_moduli()
     q = case.p_over_q.denominator
     reduced = [vs / q for vs in vss]
     zetas = [centered_remainder(v, float(r)) for v, r in zip(obs.v_space, reduced)]
     # lcm(v_s/q) = lcm(v_s)/q, so the reconstruction range is [-v_lb/2, v_lb/2).
     inner = robust_crt(zetas, reduced)
-    folds = fold_per_wavelength(inner.v_hat, cfg)
-    integers = AmbiguityIntegers(
-        n_t=tuple(f.n_t for f in folds),
-        n_s=tuple(f.n_s for f in folds),
-    )
-    return RetrievalResult(v_hat=inner.v_hat, integers=integers,
+    # v_hat may lie up to xi_e across a fold edge from the velocity a band
+    # observed, so each band takes the integers, found within xi_e of v_hat,
+    # that rebuild v_hat from its observation most closely.
+    v_hat, xi = inner.v_hat, obs.xi_e
+    options = [_integers_at(obs, cfg, v) for v in (v_hat, v_hat - xi, v_hat + xi)]
+    pairs = []
+    for i, (v_obs, vt, vs) in enumerate(zip(obs.v_space, vts, vss)):
+        best = min(options, key=lambda o: abs(
+            v_obs + o.n_t[i] * float(vt) + o.n_s[i] * float(vs) - v_hat))
+        pairs.append((best.n_t[i], best.n_s[i]))
+    n_t, n_s = zip(*pairs)
+    integers = AmbiguityIntegers(n_t=n_t, n_s=n_s)
+    return RetrievalResult(v_hat=v_hat, integers=integers,
                            method="theorem1_crt", residual=inner.residual)
 
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import mfsar
 from mfsar import cli, fold_per_wavelength, unambiguous_range
 from mfsar.cli import (EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_ESTIMATION,
                        EXIT_NO_SOLUTION, EXIT_OK, build_parser, main)
@@ -68,6 +69,8 @@ def test_out_writes_a_manifest(tmp_path, config_path):
     assert manifest["seed"] == 7
     assert manifest["config"] == json.loads(open(config_path).read())
     assert manifest["outputs"] == [str(out)]
+    assert list(manifest) == ["subcommand", "config", "seed", "outputs", "version"]
+    assert manifest["version"] == mfsar.__version__
 
 
 def test_only_montecarlo_takes_threads(config_path, capsys):
@@ -153,6 +156,52 @@ def test_montecarlo_refuses_a_bad_xi_grid(config_path, capsys, xi):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad xi grid" in captured.err
+
+
+@pytest.mark.parametrize("xi,grid", [
+    ([], [round(1.0 - 0.05 * k, 10) for k in range(21)]),
+    (["--xi-start", "0.3", "--xi-step", "0.1"], [0.3, 0.2, 0.1, 0.0]),
+    # A third step of 0.6 would reach -0.2.
+    (["--xi-step", "0.6"], [1.0, 0.4]),
+])
+def test_montecarlo_xi_grid_ends_at_its_stop(config_path, monkeypatch, xi, grid):
+    grids = []
+    monkeypatch.setattr(cli, "monte_carlo_rmse", lambda cfg, xi_grid, **kw:
+                        grids.append(xi_grid) or SimpleNamespace(points=[]))
+    assert main(["montecarlo", "--config", config_path, "--trials", "1", *xi]) == EXIT_OK
+    assert grids == [grid]
+
+
+class TestObservationCsv:
+    def retrieve(self, config_path, *extra):
+        return main(["retrieve", "--config", config_path, "--json", "--xi-e", "0.1",
+                     *extra])
+
+    def test_answers_as_the_same_obs_do(self, tmp_path, config_path, capsys):
+        folds = fold_per_wavelength(17.0, make_config())
+        path = tmp_path / "obs.csv"
+        path.write_text("lambda,v_space\n" + "".join(
+            f"{lam!r},{f.v_space!r}\n" for lam, f in zip((0.05, 0.06), folds)))
+        assert self.retrieve(config_path, "--obs-csv", str(path)) == EXIT_OK
+        from_csv = capsys.readouterr().out
+        assert self.retrieve(config_path, *obs_args(f.v_space for f in folds)) == EXIT_OK
+        assert capsys.readouterr().out == from_csv
+        assert json.loads(from_csv)["v_hat"] == pytest.approx(17.0)
+
+    @pytest.mark.parametrize("text,message", [
+        ("wavelength,v_space\n0.05,1.0\n0.06,2.0\n", "must have header lambda,v_space"),
+        ("lambda,v_space\n0.05,1.0\n0.07,2.0\n", "wavelength 0.07 not in config"),
+        ("lambda,v_space\n0.05,1.0\n0.06\n", "line 3 has no v_space"),
+        (None, "cannot read observations"),
+    ])
+    def test_bad_file_is_refused(self, tmp_path, config_path, capsys, text, message):
+        path = tmp_path / "obs.csv"
+        if text is not None:
+            path.write_text(text)
+        assert self.retrieve(config_path, "--obs-csv", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestParserReuse:

@@ -217,6 +217,56 @@ class TestTheorem1:
         with pytest.raises(ConfigurationError):
             theorem1_solve(FoldedObservation((0.0, 0.0)), cfg)
 
+    @staticmethod
+    def rebuilt(res, obs, cfg):
+        """Each band's observation unfolded by the reported integers."""
+        return [v + n_t * float(vt) + n_s * float(vs) for v, n_t, n_s, vt, vs in
+                zip(obs.v_space, res.integers.n_t, res.integers.n_s,
+                    *cfg.exact_moduli())]
+
+    def test_integers_follow_the_space_wrap(self, reference_config):
+        # v_hat 7.5 folds to n_s 1 on band 1, which rebuilds 22.55.
+        obs = FoldedObservation((7.55, 7.45), xi_e=0.2)
+        res = theorem1_solve(obs, reference_config)
+        assert res.v_hat == pytest.approx(7.5)
+        assert res.integers.n_t == (0, 0) and res.integers.n_s == (0, 0)
+        assert self.rebuilt(res, obs, reference_config) == pytest.approx([7.55, 7.45])
+
+    def test_integers_across_the_time_edge(self):
+        # v_hat lies just past the time edge at 8; band 1 observed a velocity
+        # below it and needs (n_t, n_s) = (0, 1), not the fold of v_hat.
+        cfg = make_config(lambdas=(0.04, 0.05))
+        obs = FoldedObservation((-3.9748019156063874, -6.940483297822108), xi_e=0.1)
+        res = theorem1_solve(obs, cfg)
+        assert res.v_hat == pytest.approx(8.0424, abs=1e-4)
+        assert (res.integers.n_t[0], res.integers.n_s[0]) == (0, 1)
+        for v in self.rebuilt(res, obs, cfg):
+            assert abs(v - res.v_hat) <= 2 * obs.xi_e
+
+    def test_integers_rebuild_the_answer(self):
+        checked = 0
+        for d in (0.4, 0.5, 0.6):
+            for lambdas in ((0.05, 0.06), (0.04, 0.05), (0.05, 0.06, 0.07)):
+                cfg = make_config(d=d, lambdas=lambdas)
+                half = theorem1_range(cfg) / 2
+                for xi in (0.05, 0.1, 0.2):
+                    rng = np.random.default_rng(1)
+                    for _ in range(60):
+                        truth = rng.uniform(-half, half)
+                        obs = FoldedObservation(
+                            tuple(f.v_space + rng.uniform(-xi, xi)
+                                  for f in fold_per_wavelength(truth, cfg)), xi_e=xi)
+                        try:
+                            res = theorem1_solve(obs, cfg)
+                        except (AmbiguousSolutionError, NoSolutionError):
+                            continue
+                        if abs(res.v_hat - truth) > xi:
+                            continue
+                        checked += 1
+                        for v in self.rebuilt(res, obs, cfg):
+                            assert abs(v - res.v_hat) <= 2 * xi, (d, lambdas, obs)
+        assert checked > 1000
+
 
 class TestSearchRetrieve:
     @pytest.mark.parametrize("row", BENCHMARK_TARGETS)

@@ -317,7 +317,9 @@ def cmd_montecarlo(args, cfg: RadarConfig) -> int:
         _emit(args, curve.to_csv(), cfg, seed=args.seed)
         return EXIT_OK
     lines = [f"xi_e {p.xi_e:.2f}: rmse {p.rmse:.4f} m/s "
-             f"({p.trials} trials, {p.failures} failures)" for p in curve.points]
+             f"({p.trials} trials, {p.failures} failures: {p.ambiguous} ambiguous, "
+             f"{p.no_solution} no solution; {p.silent_gross} silent gross)"
+             for p in curve.points]
     _emit(args, "\n".join(lines), cfg, seed=args.seed)
     return EXIT_OK
 

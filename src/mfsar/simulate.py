@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSolutionError, EstimationFailure, NoSolutionError
-from .folding import centered_remainder, doppler_of
-from .solvers import FoldedObservation, fold_per_wavelength, search_retrieve
+from .folding import centered_remainder, doppler_of, forward_fold_grid
+from .solvers import TIE_TOLERANCE, FoldedObservation, search_retrieve
 from .system import RadarConfig, TargetMotion
 
 __all__ = [
@@ -61,10 +61,21 @@ class SlowTimeCube:
 
 @dataclass(frozen=True)
 class RmsePoint:
+    """Monte Carlo outcome at one error bound: the RMSE of the returned
+    answers and the trials counted as ambiguous, no-solution and silent gross
+    errors (see :func:`monte_carlo_rmse`)."""
+
     xi_e: float
     rmse: float
     trials: int
-    failures: int
+    ambiguous: int
+    no_solution: int
+    silent_gross: int
+
+    @property
+    def failures(self) -> int:
+        """Trials the solver declined: ambiguous plus no-solution."""
+        return self.ambiguous + self.no_solution
 
 
 @dataclass(frozen=True)
@@ -191,24 +202,33 @@ def _mc_point(cfg: RadarConfig, xi_e: float, xi_index: int, trials: int,
               seed: int) -> RmsePoint:
     n_lam = len(cfg.lambdas)
     v_range = float(cfg.size_report().size)
-    squared = []
-    failures = 0
+    truths = np.empty(trials)
+    errors = np.zeros((trials, n_lam))
     for trial in range(trials):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(xi_index, trial)))
-        v_r = rng.uniform(-v_range / 2.0, v_range / 2.0)
-        folds = fold_per_wavelength(v_r, cfg)
-        errors = rng.uniform(-xi_e, xi_e, size=n_lam) if xi_e > 0 else np.zeros(n_lam)
-        obs = FoldedObservation(
-            tuple(f.v_space + e for f, e in zip(folds, errors)), xi_e=xi_e)
+        truths[trial] = rng.uniform(-v_range / 2.0, v_range / 2.0)
+        if xi_e > 0:
+            errors[trial] = rng.uniform(-xi_e, xi_e, size=n_lam)
+    observed = np.column_stack([forward_fold_grid(truths, vt, vs)[1]
+                                for vt, vs in zip(*cfg.exact_moduli())]) + errors
+    squared = []
+    ambiguous = no_solution = silent_gross = 0
+    for v_r, v_space in zip(truths.tolist(), observed.tolist()):
         try:
-            result = search_retrieve(obs, cfg)
-        except (AmbiguousSolutionError, NoSolutionError):
-            failures += 1
+            result = search_retrieve(FoldedObservation(v_space, xi_e=xi_e), cfg)
+        except AmbiguousSolutionError:
+            ambiguous += 1
             continue
-        squared.append((result.v_hat - v_r) ** 2)
+        except NoSolutionError:
+            no_solution += 1
+            continue
+        error = result.v_hat - v_r
+        squared.append(error ** 2)
+        silent_gross += abs(centered_remainder(error, v_range)) > 2 * xi_e + TIE_TOLERANCE
     rmse = float(np.sqrt(np.sum(squared) / len(squared))) if squared else float("nan")
-    return RmsePoint(xi_e=float(xi_e), rmse=rmse, trials=trials, failures=failures)
+    return RmsePoint(xi_e=float(xi_e), rmse=rmse, trials=trials, ambiguous=ambiguous,
+                     no_solution=no_solution, silent_gross=silent_gross)
 
 
 def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
@@ -216,10 +236,18 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     """Retrieval RMSE of the searching solver per injected error bound.
 
     Per grid point and trial: draw a velocity uniformly over the determinable
-    range, fold it exactly per wavelength, add independent uniform errors in
-    ``[-xi_e, xi_e]``, retrieve, and accumulate the squared estimate error.
-    Trials the solver reports as ambiguous or unsolvable are counted as
-    failures and excluded from the RMSE, never silently dropped.
+    range, then independent uniform errors in ``[-xi_e, xi_e]``, one per
+    wavelength.  The point's velocities are folded exactly per wavelength by
+    one :func:`folding.forward_fold_grid` call per wavelength (element for
+    element the scalar fold), the errors added, and each trial retrieved by
+    :func:`solvers.search_retrieve` on its own.
+
+    Trials the solver reports as ambiguous or unsolvable are counted in
+    ``ambiguous`` and ``no_solution`` (their sum is ``failures``) and
+    excluded from the RMSE, never silently dropped.  Answers farther than
+    ``2*xi_e`` (plus the solvers' tie tolerance) from their truth on the
+    circle of the determinable size stay in the RMSE and are also counted in
+    ``silent_gross``.
 
     Every trial owns an RNG substream keyed on ``(seed, point, trial)``, so
     the curve is bit-identical for any ``n_workers``.

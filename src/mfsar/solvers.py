@@ -77,8 +77,8 @@ class FoldedObservation:
         object.__setattr__(self, "v_space", tuple(float(v) for v in self.v_space))
         if not self.v_space:
             raise ValueError("need at least one observation")
-        if self.xi_e < 0:
-            raise ValueError(f"xi_e must be >= 0, got {self.xi_e}")
+        if not 0 <= self.xi_e < math.inf:
+            raise ValueError(f"xi_e must be a finite number >= 0, got {self.xi_e}")
 
 
 @dataclass(frozen=True)
@@ -355,38 +355,46 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     ``residual`` and its cell's integers plus the wraps; otherwise
     AmbiguousSolutionError carries the best velocity of each separate part
     as ``candidates``.  Velocities lie in the determinable range, or in
-    ``[-v_range/2, v_range/2)`` for a narrower ``v_range``.
+    ``[-v_range/2, v_range/2)`` for a narrower ``v_range``, which must be a
+    positive finite number.
+
+    The kernel runs band-major on what :meth:`RadarConfig.fold_cells`
+    compiled: each band's offsets are one contiguous row, and the kept
+    cells' reconstructions form a bands x cells x wraps array reduced over
+    the band axis.
     """
     _require_case(cfg, CaseId.III)
     _check_observation(obs, cfg)
     if len(cfg.lambdas) < 2:
         raise ConfigurationError("the search needs at least two wavelengths")
     cells, rows = cfg.fold_cells(), slice(None)
-    lo, hi = cells.lo, cells.hi
+    lo, hi, widths = cells.lo, cells.hi, cells.widths
     if v_range is not None:
+        if not 0 < v_range < math.inf:
+            raise ConfigurationError(f"v_range must be a positive finite number, got {v_range}")
         if v_range > cfg.size_report().size:
             raise ConfigurationError(
                 f"v_range {v_range} exceeds the determinable size {cfg.size_report().size}")
         rows = np.flatnonzero((hi > -v_range / 2) & (lo < v_range / 2))
         lo, hi = np.maximum(lo[rows], -v_range / 2), np.minimum(hi[rows], v_range / 2)
-    m = np.array([float(v) for v in cfg.observed_moduli()])
-    base = cells.offsets[rows] + obs.v_space
-    # One wrap either way reaches every reconstruction: an observation lies
-    # within xi_e (< v_s/2) of its half-open interval.
-    wraps = np.indices((3,) * len(m)).reshape(len(m), -1).T - 1
+        widths = hi - lo
+    # Band-major: row i holds band i's reconstructions r_i + c_i, one per cell.
+    base = cells.by_band[:, rows] + np.reshape(obs.v_space, (-1, 1))
 
     # Lower bound per cell: the largest circular distance from a band's
     # observation to that band's remainders on the cell (negative inside).
     # Score the cells it cannot exclude; when the best score found exceeds
     # the limit they were kept by, widen the limit to it once.
-    outside = np.maximum(lo[:, None] - base, base - hi[:, None])
-    lower = np.minimum(outside, m - (hi - lo)[:, None] - outside).max(axis=1)
+    outside = np.maximum(lo - base, base - hi)
+    lower = np.minimum(outside, cells.moduli[:, None] - widths - outside).max(axis=0)
     limit = max(lower.min(), obs.xi_e) + TIE_TOLERANCE
     while True:
         keep = np.flatnonzero(lower <= limit)
-        points = base[keep][:, None, :] + wraps * m     # kept cells x wraps x bands
-        low, high = points.min(axis=2), points.max(axis=2)
-        v = np.clip((low + high) / 2, lo[keep, None], hi[keep, None])
+        # One wrap either way reaches every reconstruction: an observation
+        # lies within xi_e (< v_s/2) of its half-open interval.
+        points = base[:, keep, None] + cells.wrap_shifts[:, None, :]  # bands x cells x wraps
+        low, high = points.min(axis=0), points.max(axis=0)
+        v = np.minimum(np.maximum((low + high) / 2, lo[keep, None]), hi[keep, None])
         score = np.maximum(v - low, high - v)
         best = score.min()
         if best + TIE_TOLERANCE <= limit:
@@ -403,9 +411,8 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     order = np.argsort(starts)
     starts, ends = starts[order], ends[order]
     reach = np.maximum.accumulate(ends)
-    v_ub = float(cfg.size_report().v_ub)
-    gaps = np.append(starts[1:] - reach[:-1], starts[0] + v_ub - reach[-1])
-    if v_ub - gaps.max() > 2 * max(obs.xi_e, TIE_TOLERANCE) + TIE_TOLERANCE:
+    gaps = np.append(starts[1:] - reach[:-1], starts[0] + cells.v_ub - reach[-1])
+    if cells.v_ub - gaps.max() > 2 * max(obs.xi_e, TIE_TOLERANCE) + TIE_TOLERANCE:
         parts = np.split(order, np.flatnonzero(gaps[:-1] > TIE_TOLERANCE) + 1)
         distinct = [float(v[cell[p], wrap[p]][np.argmin(score[cell[p], wrap[p]])])
                     for p in parts]
@@ -415,7 +422,7 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     k, w = np.unravel_index(np.argmin(score), score.shape)
     integers = AmbiguityIntegers(
         n_t=tuple(int(x) for x in cells.n_t[rows][keep[k]]),
-        n_s=tuple(int(x) for x in cells.n_s[rows][keep[k]] + wraps[w]))
+        n_s=tuple(int(x) for x in cells.n_s[rows][keep[k]] + cells.wraps[:, w]))
     return RetrievalResult(v_hat=float(v[k, w]), integers=integers, method="search",
                            residual=float(best))
 

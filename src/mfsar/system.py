@@ -19,14 +19,18 @@ verified continued-fraction rule the solvers use (:func:`folding.as_fraction`).
 :class:`RadarConfig` is the one place the solvers' system quantities are
 derived, each exactly and at most once per instance:
 
-* at construction -- p/q (:meth:`RadarConfig.ratio`), the blind speeds
-  ``(v_t, v_s)`` of every wavelength (:meth:`RadarConfig.exact_moduli`) and
-  the modulus that folds each measured remainder, ``min(v_t, v_s)``: ``v_t``
-  in case I, ``v_s`` in cases II and III (:meth:`RadarConfig.observed_moduli`);
+* at construction -- p/q (:meth:`RadarConfig.ratio`), the case
+  (:func:`classify_case`), the blind speeds ``(v_t, v_s)`` of every
+  wavelength (:meth:`RadarConfig.exact_moduli`) and the modulus that folds
+  each measured remainder, ``min(v_t, v_s)``: ``v_t`` in case I, ``v_s`` in
+  cases II and III (:meth:`RadarConfig.observed_moduli`);
 * on first use, then cached -- the determinable velocity size with its two
   bounds (:meth:`RadarConfig.size_report`), found by the enumeration walk of
   :func:`enumeration.determinable_size`, and the fold cells of that range
-  (:meth:`RadarConfig.fold_cells`), which the case III search scores.
+  (:meth:`RadarConfig.fold_cells`).  The cells also hold everything the case
+  III search reads on every call, compiled once: the offsets band-major, the
+  cell widths, the observed moduli as floats, the wrap table with its shifts
+  and ``v_ub = lcm(v_t)`` as a float.
 """
 
 from __future__ import annotations
@@ -77,6 +81,13 @@ class FoldCells:
     inside time cell ``k``.  The cells ``[lo[k], hi[k])`` (m/s) refine every
     band's edges; row ``k`` of ``n_t``, ``n_s`` and ``offsets`` holds each
     band's integers and ``c_i`` on cell ``k``.
+
+    The rest is what the case III search reads on every call, compiled here
+    once: ``by_band``, the offsets band-major (a contiguous row per band);
+    ``widths = hi - lo``; ``moduli``, each band's observed modulus ``m_i`` as
+    a float; ``wraps``, every choice of one wrap in {-1, 0, 1} per band (a
+    column per choice) with its shifts ``wrap_shifts = wraps*m``; and
+    ``v_ub = lcm(v_t)`` as a float.
     """
 
     lo: np.ndarray
@@ -84,12 +95,19 @@ class FoldCells:
     n_t: np.ndarray
     n_s: np.ndarray
     offsets: np.ndarray
+    by_band: np.ndarray
+    widths: np.ndarray
+    moduli: np.ndarray
+    wraps: np.ndarray
+    wrap_shifts: np.ndarray
+    v_ub: float
 
 
-def _fold_cells(vts, vss, size) -> FoldCells:
+def _fold_cells(vts, vss, report: enumeration.EnumerationReport) -> FoldCells:
     """Fold cells over ``[-size/2, size/2)``, found in whole units of
     ``1/scale`` m/s as the enumeration walk does (object arrays where int64
     could overflow); each cell's integers are the exact fold of its lower end."""
+    size = report.size
     scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss, size / 2)))
     half = int(size / 2 * scale)
     t, s = ([x.numerator * scale // x.denominator for x in xs] for xs in (vts, vss))
@@ -113,8 +131,13 @@ def _fold_cells(vts, vss, size) -> FoldCells:
     n_t = ((lo[:, None] + t // 2) // t).astype(int)
     n_s = ((lo[:, None] - n_t * t + s // 2) // s).astype(int)
     offsets = n_t * np.array([float(v) for v in vts]) + n_s * np.array([float(v) for v in vss])
-    return FoldCells(lo=lo.astype(float) / float(scale), hi=hi.astype(float) / float(scale),
-                     n_t=n_t, n_s=n_s, offsets=offsets)
+    lo, hi = lo.astype(float) / float(scale), hi.astype(float) / float(scale)
+    moduli = np.array([float(min(vt, vs)) for vt, vs in zip(vts, vss)])
+    wraps = np.indices((3,) * len(moduli)).reshape(len(moduli), -1) - 1
+    return FoldCells(lo=lo, hi=hi, n_t=n_t, n_s=n_s, offsets=offsets,
+                     by_band=np.ascontiguousarray(offsets.T), widths=hi - lo,
+                     moduli=moduli, wraps=wraps, wrap_shifts=wraps * moduli[:, None],
+                     v_ub=float(report.v_ub))
 
 
 @dataclass(frozen=True)
@@ -162,7 +185,14 @@ class RadarConfig:
         pairs = [blind_speeds(lam, f_p, v_a, d) for lam in lams]
         vts = tuple(pair.v_t for pair in pairs)
         vss = tuple(pair.v_s for pair in pairs)
+        if ratio < 1:
+            case = SystemCase(case_id=CaseId.I)
+        elif ratio.denominator == 1:
+            case = SystemCase(case_id=CaseId.II, k=int(ratio), p_over_q=ratio)
+        else:
+            case = SystemCase(case_id=CaseId.III, p_over_q=ratio)
         object.__setattr__(self, "_ratio", ratio)
+        object.__setattr__(self, "_case", case)
         object.__setattr__(self, "_moduli", (vts, vss))
         object.__setattr__(self, "_observed", tuple(map(min, vts, vss)))
 
@@ -197,7 +227,7 @@ class RadarConfig:
         cached on the instance like :meth:`size_report`."""
         cells = self.__dict__.get("_fold_cells")
         if cells is None:
-            cells = _fold_cells(*self._moduli, self.size_report().size)
+            cells = _fold_cells(*self._moduli, self.size_report())
             object.__setattr__(self, "_fold_cells", cells)
         return cells
 
@@ -268,13 +298,9 @@ def load_config(path) -> RadarConfig:
 
 
 def classify_case(cfg: RadarConfig) -> SystemCase:
-    """Classify the system by its exact blind-speed ratio."""
-    ratio = cfg.ratio()
-    if ratio < 1:
-        return SystemCase(case_id=CaseId.I)
-    if ratio.denominator == 1:
-        return SystemCase(case_id=CaseId.II, k=int(ratio), p_over_q=ratio)
-    return SystemCase(case_id=CaseId.III, p_over_q=ratio)
+    """Case of the system by its exact blind-speed ratio, classified once at
+    construction."""
+    return cfg._case
 
 
 def unambiguous_range(cfg: RadarConfig, lam: float) -> tuple:

@@ -30,6 +30,13 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["v_hat"] == pytest.approx(17.0)
 
+    @pytest.mark.parametrize("xi_e", ["nan", "inf"])
+    def test_error_bound_not_finite(self, config_path, capsys, xi_e):
+        code = main(["retrieve", "--config", config_path, "--xi-e", xi_e,
+                     "--obs", "1=1.0", "--obs", "2=2.0"])
+        assert code == EXIT_CONFIG
+        assert "xi_e must be a finite number" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path, capsys):
         code = main(["classify", "--config", str(tmp_path / "missing.json")])
         assert code == EXIT_CONFIG
@@ -156,6 +163,18 @@ def test_montecarlo_refuses_a_bad_xi_grid(config_path, capsys, xi):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad xi grid" in captured.err
+
+
+def test_montecarlo_text_splits_the_outcomes(config_path, capsys):
+    code = main(["montecarlo", "--config", config_path, "--trials", "40",
+                 "--xi-start", "0.5", "--xi-step", "0.5", "--xi-stop", "0.5"])
+    assert code == EXIT_OK
+    curve = mfsar.monte_carlo_rmse(make_config(), [0.5], trials=40, seed=0)
+    p = curve.points[0]
+    assert p.ambiguous > 0
+    assert capsys.readouterr().out == (
+        f"xi_e 0.50: rmse {p.rmse:.4f} m/s (40 trials, {p.ambiguous} failures: "
+        f"{p.ambiguous} ambiguous, 0 no solution; 0 silent gross)\n")
 
 
 @pytest.mark.parametrize("xi,grid", [

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mfsar import (EstimationFailure, FoldedObservation, SlowTimeCube,
-                   TargetMotion, estimate_doppler, fold_per_wavelength,
-                   monte_carlo_rmse, search_retrieve, simulate_echo,
-                   vsar_estimate_vspace)
+from mfsar import (AmbiguousSolutionError, EstimationFailure, FoldedObservation,
+                   NoSolutionError, RetrievalResult, SlowTimeCube, TargetMotion,
+                   estimate_doppler, fold_per_wavelength, monte_carlo_rmse,
+                   search_retrieve, simulate, simulate_echo, vsar_estimate_vspace)
 from mfsar.folding import centered_remainder
 from mfsar.simulate import SLOW_TIME_PAD, slow_time_axis
 from conftest import make_config
@@ -125,3 +125,60 @@ def test_monte_carlo_is_identical_for_any_worker_count():
 def test_monte_carlo_rejects_empty_runs(reference_config):
     with pytest.raises(ValueError, match="trials"):
         monte_carlo_rmse(reference_config, [0.1], trials=0, seed=0)
+
+
+def test_monte_carlo_curve_is_pinned():
+    # Measured before the trials of a point were folded in one grid call.
+    curve = monte_carlo_rmse(make_config(lambdas=(0.05, 0.06, 0.07)), [0.05, 0.1, 0.3],
+                             trials=10, seed=11)
+    assert [(p.xi_e, p.rmse, p.trials, p.failures) for p in curve.points] == [
+        (0.05, 0.017422843756004985, 10, 0),
+        (0.1, 0.029009521883209658, 10, 0),
+        (0.3, 0.11331674159557285, 10, 1)]
+
+
+def test_monte_carlo_folds_each_truth_as_the_scalar_fold(monkeypatch):
+    cfg = make_config(lambdas=(0.05, 0.06, 0.07))
+    seen = []
+
+    def recording(obs, cfg):
+        seen.append(obs)
+        return search_retrieve(obs, cfg)
+
+    monkeypatch.setattr(simulate, "search_retrieve", recording)
+    monte_carlo_rmse(cfg, [0.0, 0.2], trials=25, seed=4)
+    half = float(cfg.size_report().size) / 2
+    expected = []
+    for point, xi_e in enumerate([0.0, 0.2]):
+        for trial in range(25):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=4, spawn_key=(point, trial)))
+            folds = fold_per_wavelength(rng.uniform(-half, half), cfg)
+            errors = rng.uniform(-xi_e, xi_e, size=3) if xi_e > 0 else np.zeros(3)
+            expected.append(FoldedObservation(
+                tuple(f.v_space + e for f, e in zip(folds, errors)), xi_e=xi_e))
+    assert seen == expected
+
+
+def test_monte_carlo_counts_each_kind_of_outcome(monkeypatch, reference_config):
+    real = monte_carlo_rmse(reference_config, [0.5], trials=60, seed=2).points[0]
+    assert real.ambiguous > 0 and real.no_solution == real.silent_gross == 0
+    assert real.failures == real.ambiguous
+
+    calls = []
+
+    def stub(obs, cfg):
+        calls.append(obs)
+        if len(calls) % 3 == 1:
+            raise AmbiguousSolutionError("stub")
+        if len(calls) % 3 == 2:
+            raise NoSolutionError("stub")
+        result = search_retrieve(obs, cfg)
+        return RetrievalResult(result.v_hat + 1.0, result.integers, result.method,
+                               result.residual)
+
+    monkeypatch.setattr(simulate, "search_retrieve", stub)
+    point = monte_carlo_rmse(reference_config, [0.1], trials=9, seed=2).points[0]
+    assert (point.ambiguous, point.no_solution, point.silent_gross) == (3, 3, 3)
+    assert point.failures == 6
+    assert point.rmse == pytest.approx(1.0, abs=0.2)

@@ -30,6 +30,14 @@ BENCHMARK_TARGETS = [
 ]
 
 
+@pytest.mark.parametrize("xi_e", [-0.1, np.nan, np.inf, -np.inf])
+def test_error_bound_must_be_finite_and_non_negative(xi_e):
+    # A nan bound passed the old xi_e < 0 check, and an infinite one made
+    # every velocity consistent, so the search guessed an answer.
+    with pytest.raises(ValueError, match="xi_e must be a finite number"):
+        FoldedObservation((1.0, 2.0), xi_e=xi_e)
+
+
 class TestRobustCrt:
     def test_reduced_remainder_example(self):
         res = robust_crt([1.8270, -0.7979], [5, 6])
@@ -380,6 +388,34 @@ class TestSearchRetrieve:
                                     xi_e=0.2)
             res = search_retrieve(obs, cfg)
             assert abs(res.v_hat - truth) <= 0.2 + 1e-9
+
+    @pytest.mark.parametrize("v_range", [0.0, -10.0, np.nan, np.inf])
+    def test_range_must_be_positive_and_finite(self, reference_config, v_range):
+        # Before the check, 0 answered 0.0 and -10 answered -5.0 for truth
+        # 3.3, and nan failed inside numpy.
+        folds = fold_per_wavelength(3.3, reference_config)
+        obs = FoldedObservation(tuple(f.v_space for f in folds), xi_e=0.1)
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            search_retrieve(obs, reference_config, v_range)
+
+    @pytest.mark.parametrize("params, v_range", [({}, 48.0), ({}, 7.5),
+                                                 ({"lambdas": (0.05, 0.06, 0.07)}, 300.0)])
+    def test_narrowed_range_agrees_with_the_default(self, params, v_range):
+        cfg = make_config(**params)
+        rng = np.random.default_rng(5)
+        answered = 0
+        for _ in range(60):
+            truth = float(rng.uniform(-v_range / 2 + 0.5, v_range / 2 - 0.5))
+            noise = rng.uniform(-0.1, 0.1, size=len(cfg.lambdas))
+            obs = FoldedObservation(tuple(f.v_space + e for f, e in zip(
+                fold_per_wavelength(truth, cfg), noise)), xi_e=0.1)
+            try:
+                wide = search_retrieve(obs, cfg)
+            except AmbiguousSolutionError:
+                continue
+            answered += 1
+            assert search_retrieve(obs, cfg, v_range) == wide
+        assert answered >= 50
 
     def test_observation_shape_validated(self, reference_config):
         with pytest.raises(ValueError, match="observations"):

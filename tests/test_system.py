@@ -68,6 +68,13 @@ class TestDerivedQuantities:
         vts, vss = cfg.exact_moduli()
         assert cfg.observed_moduli() == (vts if case_id is CaseId.I else vss)
 
+    def test_case_is_classified_once(self, monkeypatch):
+        cfg = make_config()
+        monkeypatch.setattr(RadarConfig, "ratio", None)
+        assert classify_case(cfg) is classify_case(cfg)
+        assert classify_case(cfg).case_id is CaseId.III
+        assert "_size_report" not in vars(cfg) and "_fold_cells" not in vars(cfg)
+
     def test_size_report_is_the_enumerated_size(self, reference_config):
         assert reference_config.size_report() == determinable_size(
             *reference_config.exact_moduli())
@@ -110,6 +117,16 @@ class TestDerivedQuantities:
                     assert (fold.n_t, fold.n_s) == (cells.n_t[k, i], cells.n_s[k, i])
                 assert cells.offsets[k, i] == pytest.approx(
                     fold.n_t * float(vt) + fold.n_s * float(vs))
+        # What the search reads on every call, compiled with the cells.
+        bands = len(lambdas)
+        assert cells.by_band.flags.c_contiguous and (cells.by_band == cells.offsets.T).all()
+        assert (cells.widths == cells.hi - cells.lo).all()
+        assert cells.moduli.tolist() == [float(m) for m in cfg.observed_moduli()]
+        assert cells.wraps.shape == (bands, 3 ** bands)
+        assert len({tuple(w) for w in cells.wraps.T}) == 3 ** bands
+        assert set(cells.wraps.ravel()) == {-1, 0, 1}
+        assert (cells.wrap_shifts == cells.wraps * cells.moduli[:, None]).all()
+        assert cells.v_ub == float(cfg.size_report().v_ub)
 
     def test_cached_size_stays_out_of_equality(self):
         cfg, fresh = make_config(), make_config()

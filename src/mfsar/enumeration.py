@@ -5,10 +5,13 @@ p/q, the velocity range over which the vector of space-domain remainders stays
 injective is bounded below by ``lcm(v_s)/q`` and above by ``lcm(v_t)``, but its
 actual value between those bounds is irregular.  This module finds it by exact
 enumeration: walk candidate velocities outward from zero in 1 m/s steps and
-stop at the first repeated remainder vector.
+stop at the first repeated remainder vector.  The walk is vectorised: a block
+of candidates is folded at once, its remainder vectors are sorted, and the
+first repeat in walk order is read off the equal runs.
 
 All arithmetic is exact: inputs are rationalised, scaled to integers by the
-common denominator, and remainder vectors are compared as integer tuples.
+common denominator, and remainder vectors are compared as integer columns
+(int64, or Python ints in object arrays where int64 could overflow).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .folding import _split, as_fraction, blind_speeds
@@ -28,25 +33,24 @@ __all__ = ["EnumerationReport", "lcm_rational", "determinable_size", "size_sweep
 
 SWEEP_CSV_HEADER = "lambda1,lambda2,vt1,vs1,vt2,vs2,v_lb,size,v_ub"
 
+# Candidates folded in the walk's first pass, velocities up to 512 m/s either
+# way: the benchmark's systems (sizes up to 840 m/s) repeat within it.
+_FIRST_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class EnumerationReport:
     """Determinable velocity size with its two analytic bounds.
 
     ``collision_pair`` holds the two velocities whose remainder vectors first
-    coincide during the walk; their distance equals ``size``.
+    coincide during the walk; their distance equals ``size``, and
+    :func:`determinable_size` checks ``v_lb <= size <= v_ub``.
     """
 
     size: Fraction
     v_lb: Fraction
     v_ub: Fraction
     collision_pair: tuple
-
-    def __post_init__(self):
-        if not (self.v_lb <= self.size <= self.v_ub):
-            raise AssertionError(
-                f"bounds violated: {self.v_lb} <= {self.size} <= {self.v_ub}"
-            )
 
 
 def lcm_rational(values) -> Fraction:
@@ -69,8 +73,13 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
 
     Walks 0, -1, +1, -2, ... m/s computing the space-domain remainder vector
     of each candidate; the first duplicate vector marks the maximum
-    determinable velocity, and the size is twice that value.  For
-    non-integral moduli the size is that of this 1 m/s walk.
+    determinable velocity, and the size is twice that value.  The walk runs
+    as numpy passes over blocks of candidates in that order (see
+    :func:`_first_repeat`), with the same first repeat and so the same
+    answer as a one-by-one walk.  For non-integral moduli the size is that
+    of this 1 m/s walk; when that walk finds no repeat within the
+    ``lcm(v_t)`` period, or one outside the bounds, ConfigurationError is
+    raised.
     """
     if len(v_t_list) != len(v_s_list) or len(v_t_list) < 2:
         raise ConfigurationError("need matching v_t/v_s lists with at least two wavelengths")
@@ -97,14 +106,6 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
     vt_i = [int(v * scale) for v in vts]
     vs_i = [int(v * scale) for v in vss]
 
-    def residues(v: int) -> tuple:
-        out = []
-        for vt, vs in zip(vt_i, vs_i):
-            _, v_time = _split(v, vt)
-            _, v_space = _split(v_time, vs)
-            out.append(v_space)
-        return tuple(out)
-
     # Collision is guaranteed by the v_ub periodicity, so cap the walk there.
     limit = int(v_ub * scale) // 2 + scale
     if limit // scale > 2_000_000:
@@ -114,20 +115,50 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
         raise ConfigurationError(
             f"enumeration would need {limit // scale} steps; moduli "
             f"{v_t_list}/{v_s_list} are effectively incommensurable")
-    seen = {}
-    v = 0
+    dtype = np.int64 if limit + 2 * max(vt_i) < 2**62 else object
+    pair = _first_repeat(vt_i, vs_i, scale, 2 * (limit // scale) + 1, dtype)
+    size = None if pair is None else Fraction(2 * abs(int(pair[1])), scale)
+    if size is None or not v_lb <= size <= v_ub:
+        # The 1 m/s lattice misses the v_ub period when the moduli are not
+        # whole m/s, and overshoots it by a step when v_ub is odd.
+        found = (f"no repeat within +-{limit // scale} m/s" if size is None
+                 else f"size {size} outside [{v_lb}, {v_ub}]")
+        raise ConfigurationError(
+            f"cannot size blind speeds v_t ({', '.join(map(str, vts))}), "
+            f"v_s ({', '.join(map(str, vss))}) m/s: the 1 m/s walk finds {found}")
+    return EnumerationReport(size=size, v_lb=v_lb, v_ub=v_ub,
+                             collision_pair=tuple(Fraction(int(v), scale) for v in pair))
+
+
+def _first_repeat(vt_i, vs_i, scale, total, dtype):
+    """First repeated remainder vector of the walk 0, -scale, +scale, ...
+
+    Returns the walk's first candidate whose space-domain remainder vector
+    an earlier candidate already had, with that earlier candidate, as
+    ``(earlier, later)``; ``None`` when none of the first ``total`` does.
+    Each pass folds a block of candidates from the start of the walk, sorts
+    their remainder vectors (stably, so an equal run lists its members in
+    walk order) and takes the smallest second member of a run: that is the
+    first repeat, and the run's first member is the candidate it repeats.
+    A pass without a repeat doubles the block, up to ``total``.
+    """
+    n = min(_FIRST_BLOCK, total)
     while True:
-        for cand in ((v,) if v == 0 else (-v, v)):
-            vec = residues(cand)
-            if vec in seen:
-                half = Fraction(abs(cand), scale)
-                pair = (Fraction(seen[vec], scale), Fraction(cand, scale))
-                return EnumerationReport(size=2 * half, v_lb=v_lb, v_ub=v_ub,
-                                         collision_pair=pair)
-            seen[vec] = cand
-        v += scale
-        if v > limit:
-            raise AssertionError("walk exceeded the periodicity bound without collision")
+        cand = (np.arange(1, n + 1) // 2).astype(dtype) * scale
+        cand[1::2] *= -1
+        columns = [_split(_split(cand, vt)[1], vs)[1] for vt, vs in zip(vt_i, vs_i)]
+        order = np.lexsort(columns)
+        same = np.ones(n - 1, dtype=bool)
+        for column in columns:
+            column = column[order]
+            same &= column[1:] == column[:-1]
+        later = order[1:][same]
+        if later.size:
+            first = later.argmin()
+            return cand[order[:-1][same][first]], cand[later[first]]
+        if n == total:
+            return None
+        n = min(2 * n, total)
 
 
 def size_sweep(cfg: RadarConfig, lambda_pairs) -> list:

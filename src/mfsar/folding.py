@@ -72,6 +72,8 @@ def _split(a, b):
     element by element for arrays, so a float on a fold boundary lands on the
     side its exact value does.  The fold-up at exactly ``r == b/2`` makes the
     interval half-open on the right.  ``n`` is a float for float input.
+    Object arrays of exact numbers (numpy has no object ``divmod``) split by
+    one floor division, exactly.
     """
     if not b > 0:
         raise ConfigurationError(f"modulus must be positive, got {b}")
@@ -79,6 +81,9 @@ def _split(a, b):
     if not array and -b <= 2 * a < b:
         # Inside the principal interval the remainder is the input, exactly.
         return 0, a
+    if array and a.dtype == object:
+        n = (2 * a + b) // (2 * b)
+        return n, a - n * b
     n, r = divmod(a, b)
     up = 2 * r >= b
     n, r = n + up, r - up * b
@@ -150,12 +155,33 @@ def as_fraction(x) -> Fraction:
     when the closest rational with denominator at most ``10**6`` reproduces
     it to within 4 units in its last place: a decimal literal such as
     ``0.031067`` gives ``31067/10**6``, while a float of an irrational value
-    (``6*sqrt(2)``) has no such rational and raises ConfigurationError.  A
-    relative tolerance would not do: at this denominator bound, ``1e-9*|x|``
-    is met by almost any float.
+    (``6*sqrt(2)``) has no such rational and raises ConfigurationError, as
+    does an infinite or NaN value.  A relative tolerance would not do: at
+    this denominator bound, ``1e-9*|x|`` is met by almost any float.
+
+    Two shortcuts give that same closest rational without the
+    continued-fraction search of ``limit_denominator``.  A float whose exact
+    value has a denominator at most ``10**6`` is that rational.  Otherwise
+    the float's shortest decimal repr ``n/q`` rounds to it, so
+    ``|x - n/q| <= ulp(x)/2``; any other ``a/b`` with ``b <= 10**6`` lies at
+    least ``1/(10**6*q)`` from ``n/q``.  When ``q <= 10**6`` and
+    ``ulp(x)*q < 0.5e-6``, ``n/q`` is therefore strictly the closest and
+    within the 4-ulp check.  Every other float takes the search.
     """
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
+    if not math.isfinite(x):
+        raise ConfigurationError(f"value {x!r} is not finite")
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        if den <= 10**6:
+            return Fraction(num, den)
+        # float.__repr__: numpy floats repr as "np.float64(...)".
+        mantissa, _, exponent = float.__repr__(x).partition("e")
+        whole, _, digits = mantissa.partition(".")
+        f = Fraction(int(whole + digits), 10 ** (len(digits) - int(exponent or 0)))
+        if f.denominator <= 10**6 and math.ulp(x) * f.denominator < 0.5e-6:
+            return f
     f = Fraction(x).limit_denominator(10**6)
     if abs(f - Fraction(x)) > 4 * math.ulp(x):
         raise ConfigurationError(

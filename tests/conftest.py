@@ -1,8 +1,14 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from mfsar import RadarConfig
+
+# The same examples on every run, and no per-example deadline: a slow or busy
+# machine must not fail a property that holds.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 # Dual-band reference system used throughout: channel spacing 0.4 m, platform
 # 120 m/s, PRF 800 Hz, carriers 5/6 cm -> blind speeds (20, 15) and (24, 18).

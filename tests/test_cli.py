@@ -42,6 +42,29 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["d", "f_p", "v_a", "lambdas"])
+    def test_infinite_config_value(self, tmp_path, capsys, field):
+        data = make_config().to_dict()
+        data[field] = [0.05, float("inf")] if field == "lambdas" else float("inf")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))       # written as Infinity
+        assert main(["classify", "--config", str(path)]) == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, argv", [
+        # Case I, v_t (12.5, 15): the 1 m/s walk repeats at 76 > v_ub 75.
+        (dict(d=0.3, f_p=500.0), ["enumerate", "--pairs", "0.05,0.06"]),
+        # Case I, v_t (1.8315, 9.99): no repeat within the walk's cap.
+        (dict(d=0.3, f_p=333.0), ["enumerate", "--pairs", "0.011,0.06"]),
+        # Case III, v_t (5, 5.4): the search sizes its range by the same walk.
+        (dict(lambdas=(0.0125, 0.0135)),
+         ["retrieve", "--method", "search", "--obs", "1=1.0", "--obs", "2=2.0"]),
+    ])
+    def test_walk_that_cannot_size(self, tmp_path, capsys, overrides, argv):
+        code = main([*argv, "--config", write_config(tmp_path, **overrides)])
+        assert code == EXIT_CONFIG
+        assert "cannot size blind speeds" in capsys.readouterr().err
+
     def test_crt_unfolds_past_the_correctable_bound(self, tmp_path, capsys):
         # Case II, v_s = (10, 12, 14) = 2*(5, 6, 7): the unfolds of these
         # remainders spread by 1.2, past m/2 = 1.

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mfsar import (ConfigurationError, ModulusPair, determinable_size,
                    forward_fold, lcm_rational, size_sweep)
@@ -105,6 +106,83 @@ class TestDeterminableSize:
     def test_single_wavelength_rejected(self):
         with pytest.raises(ConfigurationError):
             determinable_size([20], [15])
+
+
+def _dict_walk(vts, vss):
+    """The walk one candidate at a time, in integers of ``1/scale`` m/s:
+    ``(size, collision_pair)`` of the first repeated remainder vector, or
+    None when the walk passes ``v_ub/2 + 1`` m/s without one or repeats
+    past ``v_ub``."""
+    v_ub = lcm_rational(vts)
+    scale = math.lcm(*(Fraction(x).denominator for x in vts + vss))
+    moduli = [(int(vt * scale), int(vs * scale)) for vt, vs in zip(vts, vss)]
+
+    def centred(a, b):
+        return a - b * ((2 * a + b) // (2 * b))
+
+    seen = {}
+    v = 0
+    while v <= v_ub / 2 + 1:
+        for cand in ((v,) if v == 0 else (-v, v)):
+            vec = tuple(centred(centred(cand * scale, vt), vs) for vt, vs in moduli)
+            if vec in seen:
+                size = 2 * Fraction(abs(cand))
+                return (size, (seen[vec], cand)) if size <= v_ub else None
+            seen[vec] = cand
+        v += 1
+    return None
+
+
+@st.composite
+def shared_ratio_moduli(draw):
+    """2-4 bands ``v_t = p*k*c``, ``v_s = q*k*c``: one ratio p/q, and whole
+    or rational moduli as the common factor ``c`` is."""
+    ks = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4, unique=True))
+    p, q = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    c = draw(st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=6))
+    return [p * k * c for k in ks], [q * k * c for k in ks]
+
+
+class TestVectorisedWalk:
+    """The numpy walk answers as the walk one candidate at a time does."""
+
+    def assert_same_walk(self, vts, vss):
+        expected = _dict_walk(vts, vss)
+        if expected is None:
+            with pytest.raises(ConfigurationError, match="cannot size"):
+                determinable_size(vts, vss)
+        else:
+            rep = determinable_size(vts, vss)
+            assert (rep.size, rep.collision_pair) == expected
+
+    @given(moduli=shared_ratio_moduli())
+    def test_matches_the_dict_walk(self, moduli):
+        self.assert_same_walk(*moduli)
+
+    def test_integer_moduli(self):
+        for vts, vss in [([20, 24], [15, 18]), ([12, 16], [9, 12]), ([28, 32], [21, 24]),
+                         ([20, 24, 28], [15, 18, 21]), ([12, 28], [6, 14])]:
+            self.assert_same_walk(*([Fraction(v) for v in xs] for xs in (vts, vss)))
+
+    def test_huge_denominator_takes_python_ints(self):
+        # Ratio p/q = P/(P - 1) with P = 2**61 - 1: v_s = k*(P-1)/P, so one
+        # m/s is P scaled units and the walk's ~60*P passes int64's 2**62.
+        big = 2**61 - 1
+        vts = [Fraction(20), Fraction(24)]
+        vss = [v * Fraction(big - 1, big) for v in vts]
+        self.assert_same_walk(vts, vss)
+        assert determinable_size(vts, vss).size == 120
+
+    @pytest.mark.parametrize("vts, vss, found", [
+        # d 0.3, f_p 500, v_a 120, lambda 0.05/0.06: the walk repeats at 76 > 75.
+        ([12.5, 15.0], [20.0, 24.0], "size 76 outside"),
+        # d 0.3, f_p 333, v_a 120, lambda 0.011/0.06: no repeat within the cap.
+        ([1.8315, 9.99], [4.4, 24.0], "no repeat"),
+    ])
+    def test_walk_that_cannot_size_raises(self, vts, vss, found):
+        assert _dict_walk(*([Fraction(repr(v)) for v in xs] for xs in (vts, vss))) is None
+        with pytest.raises(ConfigurationError, match=found):
+            determinable_size(vts, vss)
 
 
 class TestSizeSweep:

@@ -1,6 +1,7 @@
 """Modular operators: worked values and algebraic invariants."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from mfsar import (ConfigurationError, ModulusPair, blind_speeds, bracket_fold,
                    centered_remainder, doppler_of, forward_fold,
                    forward_fold_grid)
+from mfsar.folding import as_fraction
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -155,3 +157,73 @@ class TestDoppler:
         v_time = forward_fold(v, ModulusPair(v_t, 1e9)).v_time
         if abs(v_time - (-v_t / 2)) > 1e-6:
             assert folded_f == pytest.approx(doppler_of(v_time, lam), abs=1e-6)
+
+
+def _limit_denominator_rule(x):
+    """``as_fraction``'s float rule as a plain continued-fraction search."""
+    f = Fraction(x).limit_denominator(10**6)
+    if abs(f - Fraction(x)) > 4 * math.ulp(x):
+        raise ConfigurationError(f"{x!r} is not rationalisable")
+    return f
+
+
+def _decimals(seed, n):
+    rng = random.Random(seed)
+    return [float(f"{rng.randrange(-10**9, 10**9)}e{rng.randint(-12, 8)}")
+            for _ in range(n)]
+
+
+def _random_floats(seed, n):
+    rng = random.Random(seed)
+    return [rng.uniform(-1e4, 1e4) for _ in range(n)]
+
+
+class TestAsFraction:
+    """The decimal shortcuts give what the continued-fraction search gives."""
+
+    def assert_same_rule(self, values):
+        for x in values:
+            try:
+                expected = _limit_denominator_rule(x)
+            except ConfigurationError:
+                with pytest.raises(ConfigurationError):
+                    as_fraction(x)
+            else:
+                assert as_fraction(x) == expected, repr(x)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(_decimals(1, 2000), id="seeded-decimals"),
+        pytest.param(_random_floats(2, 500), id="random-floats"),
+        pytest.param([-x for x in _decimals(3, 500)], id="negated-decimals"),
+        pytest.param([1e-07, 1e+16, 1.5e-05, -2.5e-10, 3.25e+20], id="exponent-reprs"),
+        # From 2**13 up the ulp bound turns six-decimal reprs away.
+        pytest.param([2.0**13 + k / 10**6 for k in range(1, 200)]
+                     + [12345.678901, -98765.4321, 1e6 + 0.5], id="large-magnitudes"),
+        pytest.param([1 / 3, 2 / 7, 0.1 + 0.2, 0.05, 0.031067, 800.0, -0.0],
+                     id="worked-values"),
+    ])
+    def test_matches_the_continued_fraction_rule(self, values):
+        self.assert_same_rule(values)
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_the_rule_on_any_finite_float(self, x):
+        self.assert_same_rule([x])
+
+    def test_worked_values(self):
+        assert as_fraction(0.031067) == Fraction(31067, 10**6)
+        assert as_fraction(1 / 3) == Fraction(1, 3)
+        assert as_fraction(-0.05) == Fraction(-1, 20)
+        assert as_fraction(2.5e-05) == Fraction(1, 40000)
+
+    def test_numpy_float_is_read_as_its_value(self):
+        x = np.float64(0.07)
+        assert as_fraction(x) == Fraction(7, 100) == _limit_denominator_rule(x)
+
+    def test_irrational_value_raises(self):
+        with pytest.raises(ConfigurationError, match="incommensurable"):
+            as_fraction(6 * math.sqrt(2))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float64("inf")])
+    def test_non_finite_value_raises(self, x):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            as_fraction(x)

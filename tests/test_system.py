@@ -1,6 +1,7 @@
 """System classification, derived quantities, and the JSON config contract."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,16 @@ class TestConfigJson:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", math.inf), ("f_p", math.inf), ("v_a", math.inf),
+        ("lambdas", [0.05, math.inf]),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        data = make_config().to_dict()
+        data[field] = value
+        with pytest.raises(ConfigurationError, match="not finite"):
+            config_from_dict(data)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

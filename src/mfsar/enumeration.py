@@ -1,17 +1,12 @@
-"""Brute-force determinable-velocity-size computation for dual-fold systems.
+"""Exact determinable-velocity-size computation for dual-fold systems.
 
 For a multi-wavelength system whose blind-speed ratio is the reduced rational
 p/q, the velocity range over which the vector of space-domain remainders stays
 injective is bounded below by ``lcm(v_s)/q`` and above by ``lcm(v_t)``, but its
-actual value between those bounds is irregular.  This module finds it by exact
-enumeration: walk candidate velocities outward from zero in 1 m/s steps and
-stop at the first repeated remainder vector.  The walk is vectorised: a block
-of candidates is folded at once, its remainder vectors are sorted, and the
-first repeat in walk order is read off the equal runs.
-
-All arithmetic is exact: inputs are rationalised, scaled to integers by the
-common denominator, and remainder vectors are compared as integer columns
-(int64, or Python ints in object arrays where int64 could overflow).
+actual value between those bounds is irregular.  This module finds it exactly
+from the system's fold cells (:func:`_fold_table`, the table that
+:meth:`RadarConfig.fold_cells` also compiles), in integers scaled by twice the
+moduli's common denominator.
 """
 
 from __future__ import annotations
@@ -33,18 +28,21 @@ __all__ = ["EnumerationReport", "lcm_rational", "determinable_size", "size_sweep
 
 SWEEP_CSV_HEADER = "lambda1,lambda2,vt1,vs1,vt2,vs2,v_lb,size,v_ub"
 
-# Candidates folded in the walk's first pass, velocities up to 512 m/s either
-# way: the benchmark's systems (sizes up to 840 m/s) repeat within it.
-_FIRST_BLOCK = 1024
+# Most fold cells a sizing may build, and pairs of cells it may compare; the
+# benchmark's systems need a few hundred of each.
+_MAX_CELLS = 1_000_000
+_MAX_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
 class EnumerationReport:
     """Determinable velocity size with its two analytic bounds.
 
-    ``collision_pair`` holds the two velocities whose remainder vectors first
-    coincide during the walk; their distance equals ``size``, and
-    :func:`determinable_size` checks ``v_lb <= size <= v_ub``.
+    ``collision_pair`` holds two velocities with one remainder vector, the
+    larger magnitude last; that magnitude is ``size / 2``, the least such
+    over every collision, so no two velocities of ``(-size/2, size/2)``
+    collide.  By periodicity ``size <= v_ub``, and the paper bounds it below
+    by ``v_lb``.
     """
 
     size: Fraction
@@ -66,20 +64,22 @@ def lcm_rational(values) -> Fraction:
 
 
 def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
-    """Enumerate the determinable velocity size of a multi-wavelength system.
+    """Exact determinable velocity size of a multi-wavelength system.
 
     ``v_t_list`` and ``v_s_list`` hold positive rationals, one pair per
     wavelength, sharing one exact reduced ratio p/q.
 
-    Walks 0, -1, +1, -2, ... m/s computing the space-domain remainder vector
-    of each candidate; the first duplicate vector marks the maximum
-    determinable velocity, and the size is twice that value.  The walk runs
-    as numpy passes over blocks of candidates in that order (see
-    :func:`_first_repeat`), with the same first repeat and so the same
-    answer as a one-by-one walk.  For non-integral moduli the size is that
-    of this 1 m/s walk; when that walk finds no repeat within the
-    ``lcm(v_t)`` period, or one outside the bounds, ConfigurationError is
-    raised.
+    The size is ``2 * min max(|v|, |w|)`` over colliding pairs ``v != w``
+    (equal remainder vectors).  Band ``i`` folds ``v`` to ``v - c_i``, with
+    ``c_i`` constant on each fold cell, so ``v`` in cell ``k`` and ``w`` in
+    cell ``l`` collide exactly when ``c_i(k) - c_i(l)`` is one shift ``s`` in
+    every band and ``w = v - s``.  Cells are grouped by ``c_i - c_0``; for
+    each pair of cells of a group, ``v`` ranges over ``[a, b)``, where ``v``
+    is in cell ``k`` and ``v - s`` in cell ``l``, and ``max(|v|, |v - s|)``
+    is least at ``v = max(a, s/2)`` if that is below ``b`` (when the least
+    point would be ``b`` itself, the negated collision ``(-v, -w)`` attains
+    it).  ``lcm(v_t)`` is a period, so the cells from ``-v_ub/2`` past
+    ``+v_ub/2`` hold a least pair.
     """
     if len(v_t_list) != len(v_s_list) or len(v_t_list) < 2:
         raise ConfigurationError("need matching v_t/v_s lists with at least two wavelengths")
@@ -99,66 +99,87 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
 
     v_lb = lcm_rational(vss) / ratio.denominator
     v_ub = lcm_rational(vts)
-
-    # Scale everything to integers so remainder vectors compare exactly; one
-    # step of the walk (1 m/s) is then ``scale``.
-    scale = math.lcm(*(x.denominator for x in vts + vss))
-    vt_i = [int(v * scale) for v in vts]
-    vs_i = [int(v * scale) for v in vss]
-
-    # Collision is guaranteed by the v_ub periodicity, so cap the walk there.
-    limit = int(v_ub * scale) // 2 + scale
-    if limit // scale > 2_000_000:
-        # A plausible system collides within a few hundred steps; a bound this
-        # large means the inputs are effectively incommensurable (e.g. floats
-        # of irrational moduli rationalised to huge denominators).
+    cells = float(v_ub) * sum(1 / float(vs) + 2 / float(vt) for vt, vs in zip(vts, vss))
+    if cells > _MAX_CELLS:
+        # E.g. floats of irrational moduli rationalised to huge denominators.
         raise ConfigurationError(
-            f"enumeration would need {limit // scale} steps; moduli "
+            f"sizing would need {cells:.3g} fold cells; moduli "
             f"{v_t_list}/{v_s_list} are effectively incommensurable")
-    dtype = np.int64 if limit + 2 * max(vt_i) < 2**62 else object
-    pair = _first_repeat(vt_i, vs_i, scale, 2 * (limit // scale) + 1, dtype)
-    size = None if pair is None else Fraction(2 * abs(int(pair[1])), scale)
-    if size is None or not v_lb <= size <= v_ub:
-        # The 1 m/s lattice misses the v_ub period when the moduli are not
-        # whole m/s, and overshoots it by a step when v_ub is odd.
-        found = (f"no repeat within +-{limit // scale} m/s" if size is None
-                 else f"size {size} outside [{v_lb}, {v_ub}]")
-        raise ConfigurationError(
-            f"cannot size blind speeds v_t ({', '.join(map(str, vts))}), "
-            f"v_s ({', '.join(map(str, vss))}) m/s: the 1 m/s walk finds {found}")
-    return EnumerationReport(size=size, v_lb=v_lb, v_ub=v_ub,
-                             collision_pair=tuple(Fraction(int(v), scale) for v in pair))
+    half = v_ub / 2
+    scale, lo, hi, n_t, n_s, t, s = _fold_table(vts, vss, -half, half + min(vts))
+    offsets = n_t * t + n_s * s
+    diffs = offsets[:, 1:] - offsets[:, :1]
+    order = np.lexsort(diffs.T)
+    diffs = diffs[order]
+    group = np.cumsum(np.append(0, (diffs[1:] != diffs[:-1]).any(axis=1)))
+    # Every pair of cells of one group, gathered by distance in sorted order;
+    # (l, k) would give the collisions of (k, l) with v and w swapped.  A
+    # group holds about one cell per collision shift, up to ~p of them.
+    k, l = [], []
+    pairs = 0
+    for gap in range(1, len(order)):
+        at = np.flatnonzero(group[gap:] == group[:-gap])
+        if not at.size:
+            break
+        pairs += at.size
+        if pairs > _MAX_PAIRS:
+            raise ConfigurationError(
+                f"sizing would compare over {_MAX_PAIRS} pairs of fold cells; "
+                f"blind-speed ratio {ratio} of moduli {v_t_list}/{v_s_list} is too large")
+        k.append(order[at])
+        l.append(order[at + gap])
+    k, l = np.concatenate(k), np.concatenate(l)
+    shift = offsets[k, 0] - offsets[l, 0]
+    v = np.maximum(np.maximum(lo[k], lo[l] + shift), shift // 2)
+    keep = v < np.minimum(hi[k], hi[l] + shift)
+    v, shift = v[keep], shift[keep]
+    # v >= s/2, so max(|v|, |v - s|) is v when s > 0 and v - s when s < 0.
+    reach = np.maximum(v, v - shift)
+    best = int(reach.argmin())
+    # The larger magnitude last; on a tie (v = s/2) the negative first.
+    pair = (int(v[best] - shift[best]), int(v[best]))
+    pair = pair if shift[best] > 0 else pair[::-1]
+    return EnumerationReport(size=Fraction(2 * int(reach[best]), scale), v_lb=v_lb, v_ub=v_ub,
+                             collision_pair=tuple(Fraction(x, scale) for x in pair))
 
 
-def _first_repeat(vt_i, vs_i, scale, total, dtype):
-    """First repeated remainder vector of the walk 0, -scale, +scale, ...
+def _fold_table(vts, vss, bottom, top):
+    """Fold cells of the window ``[bottom, top)`` in whole units of ``1/scale`` m/s.
 
-    Returns the walk's first candidate whose space-domain remainder vector
-    an earlier candidate already had, with that earlier candidate, as
-    ``(earlier, later)``; ``None`` when none of the first ``total`` does.
-    Each pass folds a block of candidates from the start of the walk, sorts
-    their remainder vectors (stably, so an equal run lists its members in
-    walk order) and takes the smallest second member of a run: that is the
-    first repeat, and the run's first member is the candidate it repeats.
-    A pass without a repeat doubles the block, up to ``total``.
+    Band ``i`` folds ``v`` to ``v - n_t*v_t - n_s*v_s`` with integers constant
+    between fold edges: ``(k+1/2)*v_t``, and ``k*v_t + (j+1/2)*v_s`` inside
+    time cell ``k``.  Returns ``(scale, lo, hi, n_t, n_s, t, s)``: ``scale``
+    is twice the common denominator of the moduli and the window, so every
+    edge and half offset is whole; the cells ``[lo[k], hi[k])`` refine every
+    band's edges; row ``k`` of ``n_t`` and ``n_s`` holds each band's integers,
+    the exact fold of ``lo[k]``; ``t`` and ``s`` are the scaled moduli.
+    Scaled values are int64, or Python ints in object arrays where int64
+    could overflow.
     """
-    n = min(_FIRST_BLOCK, total)
-    while True:
-        cand = (np.arange(1, n + 1) // 2).astype(dtype) * scale
-        cand[1::2] *= -1
-        columns = [_split(_split(cand, vt)[1], vs)[1] for vt, vs in zip(vt_i, vs_i)]
-        order = np.lexsort(columns)
-        same = np.ones(n - 1, dtype=bool)
-        for column in columns:
-            column = column[order]
-            same &= column[1:] == column[:-1]
-        later = order[1:][same]
-        if later.size:
-            first = later.argmin()
-            return cand[order[:-1][same][first]], cand[later[first]]
-        if n == total:
-            return None
-        n = min(2 * n, total)
+    scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss, bottom, top)))
+    (first, end), t, s = ([x.numerator * scale // x.denominator for x in xs]
+                          for xs in ((bottom, top), vts, vss))
+    # Sizing adds a shift of up to the window's width to a cell end.
+    dtype = np.int64 if 2 * (end - first) + 2 * max(t) < 2**62 else object
+    edges = []
+    for vt, vs in zip(t, s):
+        # Edges of one time cell relative to its centre: the time edge -vt/2,
+        # then the space edges (j - 1/2)*vs inside the cell.
+        rel = np.arange(_split(-vt // 2, vs)[0], _split(vt // 2 - 1, vs)[0] + 1,
+                        dtype=dtype) * vs - vs // 2
+        rel[0] = -vt // 2
+        k = np.arange(_split(first, vt)[0], _split(end - 1, vt)[0] + 1, dtype=dtype)
+        edges.append((k[:, None] * vt + rel).ravel())
+    # Sort and drop shared edges; np.unique's hash table costs 1.3 MB of
+    # resident memory on first use.
+    edges = np.sort(np.concatenate(edges))
+    edges = edges[(edges > first) & (edges < end)]
+    lo = np.append(first, edges[np.append(True, edges[1:] > edges[:-1])])
+    hi = np.append(lo[1:], end)
+    t, s = np.array(t, dtype), np.array(s, dtype)
+    n_t = ((lo[:, None] + t // 2) // t).astype(int)
+    n_s = ((lo[:, None] - n_t * t + s // 2) // s).astype(int)
+    return scale, lo, hi, n_t, n_s, t, s
 
 
 def size_sweep(cfg: RadarConfig, lambda_pairs) -> list:

@@ -72,8 +72,6 @@ def _split(a, b):
     element by element for arrays, so a float on a fold boundary lands on the
     side its exact value does.  The fold-up at exactly ``r == b/2`` makes the
     interval half-open on the right.  ``n`` is a float for float input.
-    Object arrays of exact numbers (numpy has no object ``divmod``) split by
-    one floor division, exactly.
     """
     if not b > 0:
         raise ConfigurationError(f"modulus must be positive, got {b}")
@@ -81,9 +79,6 @@ def _split(a, b):
     if not array and -b <= 2 * a < b:
         # Inside the principal interval the remainder is the input, exactly.
         return 0, a
-    if array and a.dtype == object:
-        n = (2 * a + b) // (2 * b)
-        return n, a - n * b
     n, r = divmod(a, b)
     up = 2 * r >= b
     n, r = n + up, r - up * b

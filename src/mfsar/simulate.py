@@ -254,7 +254,7 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    cfg.fold_cells()  # enumerate and compile once here, not in every worker
+    cfg.fold_cells()  # size and compile once here, not in every worker
     jobs = [(cfg, float(xi), i, trials, seed) for i, xi in enumerate(xi_grid)]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -25,12 +25,13 @@ derived, each exactly and at most once per instance:
   each measured remainder, ``min(v_t, v_s)``: ``v_t`` in case I, ``v_s`` in
   cases II and III (:meth:`RadarConfig.observed_moduli`);
 * on first use, then cached -- the determinable velocity size with its two
-  bounds (:meth:`RadarConfig.size_report`), found by the enumeration walk of
-  :func:`enumeration.determinable_size`, and the fold cells of that range
-  (:meth:`RadarConfig.fold_cells`).  The cells also hold everything the case
-  III search reads on every call, compiled once: the offsets band-major, the
-  cell widths, the observed moduli as floats, the wrap table with its shifts
-  and ``v_ub = lcm(v_t)`` as a float.
+  bounds (:meth:`RadarConfig.size_report`), computed exactly from the fold
+  cells of one ``lcm(v_t)`` period by :func:`enumeration.determinable_size`,
+  and the fold cells of that range (:meth:`RadarConfig.fold_cells`), built by
+  the same table.  The cells also hold everything the case III search reads
+  on every call, compiled once: the offsets band-major, the cell widths, the
+  observed moduli as floats, the wrap table with its shifts and
+  ``v_ub = lcm(v_t)`` as a float.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import enumeration
 from .errors import ConfigurationError
-from .folding import ModulusPair, _split, as_fraction, blind_speeds
+from .folding import ModulusPair, as_fraction, blind_speeds
 
 __all__ = [
     "RadarConfig",
@@ -104,32 +105,10 @@ class FoldCells:
 
 
 def _fold_cells(vts, vss, report: enumeration.EnumerationReport) -> FoldCells:
-    """Fold cells over ``[-size/2, size/2)``, found in whole units of
-    ``1/scale`` m/s as the enumeration walk does (object arrays where int64
-    could overflow); each cell's integers are the exact fold of its lower end."""
-    size = report.size
-    scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss, size / 2)))
-    half = int(size / 2 * scale)
-    t, s = ([x.numerator * scale // x.denominator for x in xs] for xs in (vts, vss))
-    dtype = np.int64 if half + 2 * max(t) < 2**62 else object
-    edges = [np.array([-half], dtype)]
-    for vt, vs in zip(t, s):
-        # Edges of one time cell relative to its centre: the time edge -vt/2,
-        # then the space edges (j - 1/2)*vs inside the cell.
-        rel = np.arange(_split(-vt // 2, vs)[0], _split(vt // 2 - 1, vs)[0] + 1,
-                        dtype=dtype) * vs - vs // 2
-        rel[0] = -vt // 2
-        k = np.arange(_split(-half, vt)[0], _split(half - 1, vt)[0] + 1, dtype=dtype)
-        band = (k[:, None] * vt + rel).ravel()
-        edges.append(band[(band > -half) & (band < half)])
-    # Sort and drop shared edges; np.unique's hash table costs 1.3 MB of
-    # resident memory on first use.
-    edges = np.sort(np.concatenate(edges))
-    lo = edges[np.append(True, edges[1:] > edges[:-1])]
-    hi = np.append(lo[1:], half)
-    t, s = np.array(t, dtype), np.array(s, dtype)
-    n_t = ((lo[:, None] + t // 2) // t).astype(int)
-    n_s = ((lo[:, None] - n_t * t + s // 2) // s).astype(int)
+    """Fold cells over ``[-size/2, size/2)``, built exactly by the sizing's
+    table (:func:`enumeration._fold_table`) and compiled to floats."""
+    scale, lo, hi, n_t, n_s, _, _ = enumeration._fold_table(
+        vts, vss, -report.size / 2, report.size / 2)
     offsets = n_t * np.array([float(v) for v in vts]) + n_s * np.array([float(v) for v in vss])
     lo, hi = lo.astype(float) / float(scale), hi.astype(float) / float(scale)
     moduli = np.array([float(min(vt, vs)) for vt, vs in zip(vts, vss)])
@@ -162,10 +141,13 @@ class RadarConfig:
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         for name in ("d", "v_a", "f_p", "r_0", "t_s", "b_w", "t_pulse", "f_s"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.m_ch < 2:
-            raise ConfigurationError(f"m_ch must be >= 2, got {self.m_ch}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} is not finite, got {value}")
+            if not value > 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+        if not (float(self.m_ch).is_integer() and self.m_ch >= 2):
+            raise ConfigurationError(f"m_ch must be a whole number >= 2, got {self.m_ch}")
         if not self.lambdas:
             raise ConfigurationError("lambdas must be nonempty")
         if any(not lam > 0 for lam in self.lambdas):
@@ -213,7 +195,7 @@ class RadarConfig:
     def size_report(self) -> enumeration.EnumerationReport:
         """Determinable velocity size of this system with its bounds.
 
-        Enumerated on the first call and cached on the instance; needs at
+        Computed on the first call and cached on the instance; needs at
         least two wavelengths.
         """
         report = self.__dict__.get("_size_report")

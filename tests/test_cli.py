@@ -42,7 +42,8 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "cannot read config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["d", "f_p", "v_a", "lambdas"])
+    @pytest.mark.parametrize("field", ["d", "f_p", "v_a", "lambdas",
+                                       "r_0", "t_s", "b_w", "t_pulse", "f_s"])
     def test_infinite_config_value(self, tmp_path, capsys, field):
         data = make_config().to_dict()
         data[field] = [0.05, float("inf")] if field == "lambdas" else float("inf")
@@ -52,18 +53,34 @@ class TestExitCodes:
         assert "not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, argv", [
-        # Case I, v_t (12.5, 15): the 1 m/s walk repeats at 76 > v_ub 75.
+        # Case I, v_t (12.5, 15): the former 1 m/s walk repeated at 76 > v_ub 75.
         (dict(d=0.3, f_p=500.0), ["enumerate", "--pairs", "0.05,0.06"]),
-        # Case I, v_t (1.8315, 9.99): no repeat within the walk's cap.
+        # Case I, v_t (1.8315, 9.99): no repeat within that walk's cap.
         (dict(d=0.3, f_p=333.0), ["enumerate", "--pairs", "0.011,0.06"]),
-        # Case III, v_t (5, 5.4): the search sizes its range by the same walk.
+        # Case III, v_t (5, 5.4): the search sized its range by the same walk.
+        # The exact size is 145/2, and these are the remainders of 17 m/s.
         (dict(lambdas=(0.0125, 0.0135)),
-         ["retrieve", "--method", "search", "--obs", "1=1.0", "--obs", "2=2.0"]),
+         ["retrieve", "--method", "search", "--xi-e", "0.02", *obs_args((-1.75, 0.8))]),
     ])
     def test_walk_that_cannot_size(self, tmp_path, capsys, overrides, argv):
+        # Configs the 1 m/s walk refused with exit 2 are sized exactly now.
         code = main([*argv, "--config", write_config(tmp_path, **overrides)])
-        assert code == EXIT_CONFIG
-        assert "cannot size blind speeds" in capsys.readouterr().err
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_odd_period_is_sized(self, tmp_path, capsys):
+        # Case I, v_t (25, 75), v_s (200, 600): v_ub = 75 is odd, and the
+        # remainder vector first repeats at +-75/2.
+        path = write_config(tmp_path, d=0.03, f_p=1000.0)
+        code = main(["enumerate", "--config", path, "--pairs", "0.05,0.15", "--csv"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "0.05,0.15,25,200,75,600,75,75,75"
+
+    def test_fractional_channel_count(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(make_config().to_dict(), m_ch=8.5)))
+        assert main(["simulate", "--config", str(path), "--vr", "3.3"]) == EXIT_CONFIG
+        assert "m_ch must be a whole number" in capsys.readouterr().err
 
     def test_crt_unfolds_past_the_correctable_bound(self, tmp_path, capsys):
         # Case II, v_s = (10, 12, 14) = 2*(5, 6, 7): the unfolds of these

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from mfsar import (ConfigurationError, ModulusPair, determinable_size,
                    forward_fold, lcm_rational, size_sweep)
-from mfsar.enumeration import SWEEP_CSV_HEADER, sweep_to_csv
+from mfsar.cli import DEFAULT_ENUM_PAIRS
+from mfsar.enumeration import SWEEP_CSV_HEADER, _fold_table, sweep_to_csv
 from conftest import make_config
 
 
@@ -109,12 +110,12 @@ class TestDeterminableSize:
 
 
 def _dict_walk(vts, vss):
-    """The walk one candidate at a time, in integers of ``1/scale`` m/s:
-    ``(size, collision_pair)`` of the first repeated remainder vector, or
-    None when the walk passes ``v_ub/2 + 1`` m/s without one or repeats
-    past ``v_ub``."""
-    v_ub = lcm_rational(vts)
-    scale = math.lcm(*(Fraction(x).denominator for x in vts + vss))
+    """The walk 0, -1, +1, -2, ... one candidate at a time, in half scaled
+    units (``1/(2*D)`` m/s for the moduli's common denominator ``D``): every
+    fold edge and every half offset lies on that lattice, so its first
+    repeated remainder vector is a least collision.  Returns
+    ``(size, (earlier, later))``."""
+    scale = 2 * math.lcm(*(Fraction(x).denominator for x in vts + vss))
     moduli = [(int(vt * scale), int(vs * scale)) for vt, vs in zip(vts, vss)]
 
     def centred(a, b):
@@ -122,15 +123,14 @@ def _dict_walk(vts, vss):
 
     seen = {}
     v = 0
-    while v <= v_ub / 2 + 1:
+    while True:
         for cand in ((v,) if v == 0 else (-v, v)):
-            vec = tuple(centred(centred(cand * scale, vt), vs) for vt, vs in moduli)
+            vec = tuple(centred(centred(cand, vt), vs) for vt, vs in moduli)
             if vec in seen:
-                size = 2 * Fraction(abs(cand))
-                return (size, (seen[vec], cand)) if size <= v_ub else None
+                return 2 * Fraction(abs(cand), scale), (Fraction(seen[vec], scale),
+                                                       Fraction(cand, scale))
             seen[vec] = cand
         v += 1
-    return None
 
 
 @st.composite
@@ -143,46 +143,70 @@ def shared_ratio_moduli(draw):
     return [p * k * c for k in ks], [q * k * c for k in ks]
 
 
-class TestVectorisedWalk:
-    """The numpy walk answers as the walk one candidate at a time does."""
+def assert_sound(vts, vss, rep):
+    """The size lies within its bounds, and the collision pair is two
+    velocities with one remainder vector, the later at half the size."""
+    earlier, later = rep.collision_pair
+    residues = [tuple(forward_fold(v, ModulusPair(vt, vs)).v_space
+                      for vt, vs in zip(vts, vss)) for v in (earlier, later)]
+    assert rep.v_lb <= rep.size <= rep.v_ub
+    assert earlier != later and residues[0] == residues[1]
+    assert abs(earlier) <= abs(later) == rep.size / 2
 
-    def assert_same_walk(self, vts, vss):
-        expected = _dict_walk(vts, vss)
-        if expected is None:
-            with pytest.raises(ConfigurationError, match="cannot size"):
-                determinable_size(vts, vss)
-        else:
-            rep = determinable_size(vts, vss)
-            assert (rep.size, rep.collision_pair) == expected
+
+class TestVectorisedWalk:
+    """The size from the fold cells is the size of the walk one candidate at
+    a time, with a sound collision pair."""
+
+    def assert_same_size(self, vts, vss):
+        rep = determinable_size(vts, vss)
+        assert rep.size == _dict_walk(vts, vss)[0]
+        assert_sound(vts, vss, rep)
 
     @given(moduli=shared_ratio_moduli())
     def test_matches_the_dict_walk(self, moduli):
-        self.assert_same_walk(*moduli)
+        self.assert_same_size(*moduli)
 
     def test_integer_moduli(self):
         for vts, vss in [([20, 24], [15, 18]), ([12, 16], [9, 12]), ([28, 32], [21, 24]),
                          ([20, 24, 28], [15, 18, 21]), ([12, 28], [6, 14])]:
-            self.assert_same_walk(*([Fraction(v) for v in xs] for xs in (vts, vss)))
+            self.assert_same_size(*([Fraction(v) for v in xs] for xs in (vts, vss)))
 
     def test_huge_denominator_takes_python_ints(self):
         # Ratio p/q = P/(P - 1) with P = 2**61 - 1: v_s = k*(P-1)/P, so one
-        # m/s is P scaled units and the walk's ~60*P passes int64's 2**62.
+        # m/s is 2*P scaled units and the 120 m/s period passes int64's 2**62.
         big = 2**61 - 1
         vts = [Fraction(20), Fraction(24)]
         vss = [v * Fraction(big - 1, big) for v in vts]
-        self.assert_same_walk(vts, vss)
-        assert determinable_size(vts, vss).size == 120
+        assert _fold_table(vts, vss, Fraction(-60), Fraction(80))[1].dtype == object
+        rep = determinable_size(vts, vss)
+        assert rep.size == 120
+        assert_sound(vts, vss, rep)
 
-    @pytest.mark.parametrize("vts, vss, found", [
-        # d 0.3, f_p 500, v_a 120, lambda 0.05/0.06: the walk repeats at 76 > 75.
-        ([12.5, 15.0], [20.0, 24.0], "size 76 outside"),
-        # d 0.3, f_p 333, v_a 120, lambda 0.011/0.06: no repeat within the cap.
-        ([1.8315, 9.99], [4.4, 24.0], "no repeat"),
+    @pytest.mark.parametrize("vts, vss, size", [
+        # d 0.3, f_p 500, v_a 120, lambda 0.05/0.06: the 1 m/s walk repeated
+        # at 76 > v_ub 75.
+        pytest.param([12.5, 15.0], [20.0, 24.0], Fraction(75), id="odd-v_ub"),
+        # d 0.3, f_p 333, v_a 120, lambda 0.011/0.06: moduli off the 1 m/s
+        # lattice, where the walk found no repeat within its cap.
+        pytest.param([1.8315, 9.99], [4.4, 24.0], Fraction(10989, 100), id="rational-moduli"),
     ])
-    def test_walk_that_cannot_size_raises(self, vts, vss, found):
-        assert _dict_walk(*([Fraction(repr(v)) for v in xs] for xs in (vts, vss))) is None
-        with pytest.raises(ConfigurationError, match=found):
-            determinable_size(vts, vss)
+    def test_walk_refusals_are_sized_exactly(self, vts, vss, size):
+        rep = determinable_size(vts, vss)
+        assert rep.size == size
+        assert_sound(*([Fraction(repr(v)) for v in xs] for xs in (vts, vss)), rep)
+
+    def test_too_many_pairs_rejected(self):
+        # Case II with v_t = 1000*v_s: over the 2000 m/s period the largest
+        # group holds some 1500 cells, and their pairs pass the bound.
+        with pytest.raises(ConfigurationError, match="pairs of fold cells.*too large"):
+            determinable_size([1000, 2000], [1, 2])
+
+    def test_table_too_large_rejected(self):
+        # lcm(20.000001, 24.000001) is about 4.8e8 m/s, some 10**8 fold cells.
+        vts = [Fraction(20_000_001, 10**6), Fraction(24_000_001, 10**6)]
+        with pytest.raises(ConfigurationError, match="fold cells.*incommensurable"):
+            determinable_size(vts, [v * 3 / 4 for v in vts])
 
 
 class TestSizeSweep:
@@ -205,3 +229,17 @@ class TestSizeSweep:
         ubs = [rep.v_ub for *_, rep in rows]
         assert ubs == sorted(ubs)
         assert ubs[0] == 24 and ubs[-1] == 528
+
+    # The sizes the config-sweep benchmark checks: its 30 configs are the
+    # default enumerate pairs at these channel spacings.
+    @pytest.mark.parametrize("d, sizes", [
+        (0.2, [24, 48, 80, 120, 168, 224, 288, 360, 440, 528]),
+        (0.4, [24, 12, 20, 120, 168, 80, 96, 360, 440, 132]),
+        (0.6, [12, 24, 40, 60, 84, 112, 144, 180, 220, 264]),
+    ])
+    def test_benchmark_sizes(self, d, sizes):
+        rows = size_sweep(make_config(d=d), DEFAULT_ENUM_PAIRS)
+        assert [rep.size for *_, rep in rows] == sizes
+
+    def test_three_band_size(self):
+        assert make_config(lambdas=(0.05, 0.06, 0.07)).size_report().size == 840

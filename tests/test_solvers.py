@@ -4,6 +4,8 @@ The dense-scan oracle is the authority whenever solvers are cross-checked:
 it shares no integer machinery with the reconstruction paths.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,21 @@ class TestSearchRetrieve:
         assert cfg.size_report().size == 80
         res = search_retrieve(FoldedObservation((7.7191, -9.3423), xi_e=0.05), cfg)
         assert res.v_hat == pytest.approx(14.68, abs=0.05)
+
+    def test_range_holds_no_aliases(self):
+        # v_s (16.5, 19.5): the remainder vector repeats at +-143/4 m/s, so
+        # the size is 143/2, not the 286 a 1 m/s walk found.  Over that wider
+        # range these seeded truths met aliases: 56 of 500 were declined as
+        # ambiguous.
+        cfg = make_config(lambdas=(0.055, 0.065))
+        assert cfg.size_report().size == Fraction(143, 2)
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            truth = float(rng.uniform(-35, 35))
+            noise = rng.uniform(-0.05, 0.05, size=2)
+            obs = FoldedObservation(tuple(f.v_space + e for f, e in zip(
+                fold_per_wavelength(truth, cfg), noise)), xi_e=0.05)
+            assert abs(search_retrieve(obs, cfg).v_hat - truth) <= 0.1
 
     def test_phantom_tuples_do_not_tie_with_the_answer(self):
         # Only velocities that fold back to the observations compete: 39.938

@@ -232,13 +232,24 @@ class TestConfigJson:
 
     @pytest.mark.parametrize("field, value", [
         ("d", math.inf), ("f_p", math.inf), ("v_a", math.inf),
-        ("lambdas", [0.05, math.inf]),
+        ("lambdas", [0.05, math.inf]), ("r_0", math.inf), ("t_s", math.inf),
+        ("b_w", math.inf), ("t_pulse", math.inf), ("f_s", math.nan),
     ])
     def test_non_finite_value_rejected(self, field, value):
         data = make_config().to_dict()
         data[field] = value
         with pytest.raises(ConfigurationError, match="not finite"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("m_ch", [8.5, 1, math.inf, math.nan])
+    def test_channel_count_must_be_whole(self, m_ch):
+        # 8.5 channels would be simulated as 9.
+        data = dict(make_config().to_dict(), m_ch=m_ch)
+        with pytest.raises(ConfigurationError, match="m_ch must be a whole number"):
+            config_from_dict(data)
+
+    def test_whole_float_channel_count_accepted(self):
+        assert config_from_dict(dict(make_config().to_dict(), m_ch=8.0)).m_ch == 8
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -39,7 +39,7 @@ from .solvers import (DEFAULT_ERROR_BOUND, FoldedObservation, brute_force_oracle
                       solve_case2, theorem1_range, theorem1_solve)
 from .system import (CaseId, RadarConfig, TargetMotion, azimuth_shift,
                      classify_case, load_config, max_azimuth_shift,
-                     sweep_determinable_size)
+                     sweep_determinable_size, unambiguous_range)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,9 +104,7 @@ def cmd_classify(args, cfg: RadarConfig) -> int:
         "p_over_q": None if case.p_over_q is None else str(case.p_over_q),
         "v_t": [float(v) for v in vts],
         "v_s": [float(v) for v in vss],
-        # system.unambiguous_range of each wavelength, from the compiled moduli.
-        "unambiguous_range": [[-float(m) / 2, float(m) / 2]
-                              for m in cfg.observed_moduli()],
+        "unambiguous_range": [list(unambiguous_range(cfg, lam)) for lam in cfg.lambdas],
         "max_azimuth_shift": [max_azimuth_shift(cfg, lam) for lam in cfg.lambdas],
     }
     if args.json:

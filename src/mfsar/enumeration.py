@@ -4,15 +4,15 @@ For a multi-wavelength system whose blind-speed ratio is the reduced rational
 p/q, the velocity range over which the vector of space-domain remainders stays
 injective is bounded below by ``lcm(v_s)/q`` and above by ``lcm(v_t)``, but its
 actual value between those bounds is irregular.  This module finds it exactly
-from the system's fold cells (:func:`_fold_table`, the table that
-:meth:`RadarConfig.fold_cells` also compiles), in integers scaled by twice the
-moduli's common denominator.
+from the system's fold cells over one ``lcm(v_t)`` period (:func:`_fold_table`),
+in integers scaled by twice the moduli's common denominator.  The report keeps
+that table, and :meth:`RadarConfig.fold_cells` cuts the search's cells from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -42,13 +42,15 @@ class EnumerationReport:
     larger magnitude last; that magnitude is ``size / 2``, the least such
     over every collision, so no two velocities of ``(-size/2, size/2)``
     collide.  By periodicity ``size <= v_ub``, and the paper bounds it below
-    by ``v_lb``.
+    by ``v_lb``.  ``fold_table`` keeps the sizing's ``(scale, lo, hi, n_t,
+    n_s)`` (:func:`_fold_table`) out of equality, hashing and the repr.
     """
 
     size: Fraction
     v_lb: Fraction
     v_ub: Fraction
     collision_pair: tuple
+    fold_table: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def lcm_rational(values) -> Fraction:
@@ -105,8 +107,7 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
         raise ConfigurationError(
             f"sizing would need {cells:.3g} fold cells; moduli "
             f"{v_t_list}/{v_s_list} are effectively incommensurable")
-    half = v_ub / 2
-    scale, lo, hi, n_t, n_s, t, s = _fold_table(vts, vss, -half, half + min(vts))
+    scale, lo, hi, n_t, n_s, t, s = _fold_table(vts, vss)
     offsets = n_t * t + n_s * s
     diffs = offsets[:, 1:] - offsets[:, :1]
     order = np.lexsort(diffs.T)
@@ -140,25 +141,27 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
     pair = (int(v[best] - shift[best]), int(v[best]))
     pair = pair if shift[best] > 0 else pair[::-1]
     return EnumerationReport(size=Fraction(2 * int(reach[best]), scale), v_lb=v_lb, v_ub=v_ub,
-                             collision_pair=tuple(Fraction(x, scale) for x in pair))
+                             collision_pair=tuple(Fraction(x, scale) for x in pair),
+                             fold_table=(scale, lo, hi, n_t, n_s))
 
 
-def _fold_table(vts, vss, bottom, top):
-    """Fold cells of the window ``[bottom, top)`` in whole units of ``1/scale`` m/s.
+def _fold_table(vts, vss):
+    """Fold cells of ``[-v_ub/2, v_ub/2 + min(v_t))`` in units of ``1/scale`` m/s.
 
     Band ``i`` folds ``v`` to ``v - n_t*v_t - n_s*v_s`` with integers constant
     between fold edges: ``(k+1/2)*v_t``, and ``k*v_t + (j+1/2)*v_s`` inside
     time cell ``k``.  Returns ``(scale, lo, hi, n_t, n_s, t, s)``: ``scale``
-    is twice the common denominator of the moduli and the window, so every
-    edge and half offset is whole; the cells ``[lo[k], hi[k])`` refine every
-    band's edges; row ``k`` of ``n_t`` and ``n_s`` holds each band's integers,
-    the exact fold of ``lo[k]``; ``t`` and ``s`` are the scaled moduli.
-    Scaled values are int64, or Python ints in object arrays where int64
-    could overflow.
+    is twice the common denominator of the moduli, so every scaled modulus is
+    even and every edge, half offset and ``v_ub/2`` is whole; the cells
+    ``[lo[k], hi[k])`` refine every band's edges; row ``k`` of ``n_t`` and
+    ``n_s`` holds each band's integers, the exact fold of ``lo[k]``; ``t``
+    and ``s`` are the scaled moduli.  Scaled values are int64, or Python ints
+    in object arrays where int64 could overflow.
     """
-    scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss, bottom, top)))
-    (first, end), t, s = ([x.numerator * scale // x.denominator for x in xs]
-                          for xs in ((bottom, top), vts, vss))
+    scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss)))
+    t, s = ([x.numerator * scale // x.denominator for x in xs] for xs in (vts, vss))
+    first = -math.lcm(*t) // 2
+    end = -first + min(t)
     # Sizing adds a shift of up to the window's width to a cell end.
     dtype = np.int64 if 2 * (end - first) + 2 * max(t) < 2**62 else object
     edges = []

@@ -250,14 +250,15 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     ``silent_gross``.
 
     Every trial owns an RNG substream keyed on ``(seed, point, trial)``, so
-    the curve is bit-identical for any ``n_workers``.
+    the curve is bit-identical for any ``n_workers`` (at most one per point).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     cfg.fold_cells()  # size and compile once here, not in every worker
     jobs = [(cfg, float(xi), i, trials, seed) for i, xi in enumerate(xi_grid)]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    workers = min(n_workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_mc_point, *zip(*jobs)))
     else:
         points = [_mc_point(*job) for job in jobs]

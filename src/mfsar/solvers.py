@@ -211,7 +211,7 @@ def robust_crt(remainders, moduli) -> RetrievalResult:
     m_frac, gammas, lcm_frac = _common_factorisation(moduli)
     m = float(m_frac)
     lcm = float(lcm_frac)
-    mods = [float(as_fraction(v)) for v in moduli]
+    mods = [float(m_frac * gamma) for gamma in gammas]
 
     # Shift so candidates live in [0, lcm); remainders shift congruently.
     shift = lcm / 2

@@ -11,10 +11,10 @@ speeds ``v_t/v_s = d*f_p/(2*v_a)``:
 * case III -- ratio > 1 and non-integer: the genuinely cascaded fold; this is
   the common configuration in practice.
 
-The ratio must reduce to an exact small rational p/q.  Physical
-configurations are specified with finite precision, so ``d``, ``f_p``, ``v_a``
-and every wavelength are rationalised once, at construction, by the same
-verified continued-fraction rule the solvers use (:func:`folding.as_fraction`).
+The ratio is exact: ``d``, ``f_p``, ``v_a`` and every wavelength are
+rationalised once, at construction, by the verified rule the solvers use
+(:func:`folding.as_fraction`, denominators up to 10**6); a system too large
+to size is refused by :func:`enumeration.determinable_size`.
 
 :class:`RadarConfig` is the one place the solvers' system quantities are
 derived, each exactly and at most once per instance:
@@ -27,10 +27,10 @@ derived, each exactly and at most once per instance:
 * on first use, then cached -- the determinable velocity size with its two
   bounds (:meth:`RadarConfig.size_report`), computed exactly from the fold
   cells of one ``lcm(v_t)`` period by :func:`enumeration.determinable_size`,
-  and the fold cells of that range (:meth:`RadarConfig.fold_cells`), built by
-  the same table.  The cells also hold everything the case III search reads
-  on every call, compiled once: the offsets band-major, the cell widths, the
-  observed moduli as floats, the wrap table with its shifts and
+  and the fold cells of the determinable range, cut from that period's table
+  (:meth:`RadarConfig.fold_cells`).  They also hold everything the case III
+  search reads on every call, compiled once: the offsets band-major, the cell
+  widths, the observed moduli as floats, the wrap table with its shifts and
   ``v_ub = lcm(v_t)`` as a float.
 """
 
@@ -63,10 +63,6 @@ __all__ = [
     "config_from_dict",
 ]
 
-# Largest denominator q of the blind-speed ratio p/q.
-_RATIO_MAX_DENOMINATOR = 1000
-
-
 class CaseId(enum.Enum):
     I = "I"
     II = "II"
@@ -80,11 +76,11 @@ class FoldCells:
     Band ``i`` folds ``v`` to ``v - c_i`` with ``c_i = n_t*v_t + n_s*v_s``,
     constant between fold edges: ``(k+1/2)*v_t``, and ``k*v_t + (j+1/2)*v_s``
     inside time cell ``k``.  The cells ``[lo[k], hi[k])`` (m/s) refine every
-    band's edges; row ``k`` of ``n_t``, ``n_s`` and ``offsets`` holds each
-    band's integers and ``c_i`` on cell ``k``.
+    band's edges; row ``k`` of ``n_t`` and ``n_s`` holds each band's
+    integers on cell ``k``.
 
     The rest is what the case III search reads on every call, compiled here
-    once: ``by_band``, the offsets band-major (a contiguous row per band);
+    once: ``by_band``, the offsets ``c_i`` band-major (a row per band);
     ``widths = hi - lo``; ``moduli``, each band's observed modulus ``m_i`` as
     a float; ``wraps``, every choice of one wrap in {-1, 0, 1} per band (a
     column per choice) with its shifts ``wrap_shifts = wraps*m``; and
@@ -95,7 +91,6 @@ class FoldCells:
     hi: np.ndarray
     n_t: np.ndarray
     n_s: np.ndarray
-    offsets: np.ndarray
     by_band: np.ndarray
     widths: np.ndarray
     moduli: np.ndarray
@@ -105,15 +100,18 @@ class FoldCells:
 
 
 def _fold_cells(vts, vss, report: enumeration.EnumerationReport) -> FoldCells:
-    """Fold cells over ``[-size/2, size/2)``, built exactly by the sizing's
-    table (:func:`enumeration._fold_table`) and compiled to floats."""
-    scale, lo, hi, n_t, n_s, _, _ = enumeration._fold_table(
-        vts, vss, -report.size / 2, report.size / 2)
+    """Fold cells over ``[-size/2, size/2)``, cut from the period table the
+    sizing kept (``report.fold_table``) and compiled to floats."""
+    scale, lo, hi, n_t, n_s = report.fold_table
+    # size/2 is the magnitude of a collision velocity, whole in table units.
+    half = int(report.size * scale / 2)
+    rows = slice(np.searchsorted(hi, -half, "right"), np.searchsorted(lo, half))
+    lo, hi = (np.clip(x[rows], -half, half).astype(float) / float(scale) for x in (lo, hi))
+    n_t, n_s = n_t[rows], n_s[rows]
     offsets = n_t * np.array([float(v) for v in vts]) + n_s * np.array([float(v) for v in vss])
-    lo, hi = lo.astype(float) / float(scale), hi.astype(float) / float(scale)
     moduli = np.array([float(min(vt, vs)) for vt, vs in zip(vts, vss)])
     wraps = np.indices((3,) * len(moduli)).reshape(len(moduli), -1) - 1
-    return FoldCells(lo=lo, hi=hi, n_t=n_t, n_s=n_s, offsets=offsets,
+    return FoldCells(lo=lo, hi=hi, n_t=n_t, n_s=n_s,
                      by_band=np.ascontiguousarray(offsets.T), widths=hi - lo,
                      moduli=moduli, wraps=wraps, wrap_shifts=wraps * moduli[:, None],
                      v_ub=float(report.v_ub))
@@ -159,11 +157,6 @@ class RadarConfig:
         d, f_p, v_a = (as_fraction(x) for x in (self.d, self.f_p, self.v_a))
         lams = [as_fraction(lam) for lam in self.lambdas]
         ratio = d * f_p / (2 * v_a)
-        if ratio.denominator > _RATIO_MAX_DENOMINATOR:
-            raise ConfigurationError(
-                f"blind-speed ratio {ratio} does not reduce to a rational with "
-                f"denominator <= {_RATIO_MAX_DENOMINATOR}"
-            )
         pairs = [blind_speeds(lam, f_p, v_a, d) for lam in lams]
         vts = tuple(pair.v_t for pair in pairs)
         vss = tuple(pair.v_s for pair in pairs)
@@ -286,9 +279,11 @@ def classify_case(cfg: RadarConfig) -> SystemCase:
 
 
 def unambiguous_range(cfg: RadarConfig, lam: float) -> tuple:
-    """Half-open unambiguous velocity interval for one wavelength (m/s): its
-    single-wavelength determinable size, centred on zero."""
-    half = _determinable_size_at(lam, cfg.f_p, cfg.v_a, cfg.d) / 2.0
+    """Half-open unambiguous velocity interval for one wavelength of the
+    system (m/s): its observed modulus, centred on zero."""
+    if lam not in cfg.lambdas:
+        raise ConfigurationError(f"wavelength {lam} is not one of {list(cfg.lambdas)}")
+    half = float(cfg.observed_moduli()[cfg.lambdas.index(lam)]) / 2.0
     return (-half, half)
 
 
@@ -303,8 +298,8 @@ def max_azimuth_shift(cfg: RadarConfig, lam: float) -> float:
 
 
 def _determinable_size_at(lam: float, f_p: float, v_a: float, d: float) -> float:
-    # The observed remainder is folded by the smaller blind speed, taken from
-    # the exact moduli as everywhere else in the package.
+    # The observed remainder is folded by the smaller blind speed, from the
+    # exact moduli of a swept system that no RadarConfig holds.
     pair = blind_speeds(*(as_fraction(x) for x in (lam, f_p, v_a, d)))
     return float(min(pair.v_t, pair.v_s))
 

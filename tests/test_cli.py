@@ -68,6 +68,18 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    def test_ratio_with_a_large_denominator(self, tmp_path, capsys):
+        # Case I with ratio 617/1500: a ratio's denominator above 1000 is no
+        # reason to refuse a config.  The observations are the folds of 17 m/s.
+        path = write_config(tmp_path, d=0.1234)
+        assert main(["classify", "--config", path]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("Case I\n")
+        folds = fold_per_wavelength(17.0, make_config(d=0.1234))
+        code = main(["retrieve", "--config", path, "--json", "--xi-e", "0.1",
+                     *obs_args(f.v_space for f in folds)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["v_hat"] == pytest.approx(17.0)
+
     def test_odd_period_is_sized(self, tmp_path, capsys):
         # Case I, v_t (25, 75), v_s (200, 600): v_ub = 75 is odd, and the
         # remainder vector first repeats at +-75/2.

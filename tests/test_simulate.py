@@ -122,6 +122,34 @@ def test_monte_carlo_is_identical_for_any_worker_count():
     assert all(p.failures == 0 and p.rmse <= p.xi_e + 1e-9 for p in serial.points)
 
 
+def test_monte_carlo_starts_at_most_one_worker_per_point(monkeypatch):
+    # A stand-in pool that records its size and maps in this process, so
+    # no worker is ever started.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", FakePool)
+    cfg = make_config()
+    serial = monte_carlo_rmse(cfg, [0.1, 0.2], trials=3, seed=3)
+    assert monte_carlo_rmse(cfg, [0.1, 0.2], trials=3, seed=3, n_workers=100_000) == serial
+    assert sizes == [2]
+    assert monte_carlo_rmse(cfg, [0.1], trials=3, seed=3, n_workers=100_000).points == \
+        serial.points[:1]
+    assert sizes == [2]
+
+
 def test_monte_carlo_rejects_empty_runs(reference_config):
     with pytest.raises(ValueError, match="trials"):
         monte_carlo_rmse(reference_config, [0.1], trials=0, seed=0)

@@ -14,6 +14,7 @@ from mfsar import (AmbiguousSolutionError, ConfigurationError,
                    brute_force_oracle, fold_per_wavelength, forward_fold,
                    robust_crt, search_retrieve, solve_case1, solve_case2,
                    theorem1_range, theorem1_solve)
+from mfsar import solvers
 from conftest import make_config
 
 # Five benchmark targets of the dual-band reference system: true velocity,
@@ -124,6 +125,16 @@ class TestRobustCrt:
         # v = 11 reproduces these remainders to within 0.05 < m/4.
         res = robust_crt([0.95, -0.95, 0.95], [2, 3, 5])
         assert res.v_hat == pytest.approx(11.0, abs=0.05)
+
+    def test_each_modulus_is_rationalised_once(self, monkeypatch):
+        # The float moduli are m*gamma_i of the one factorisation.
+        calls = []
+        real = solvers.as_fraction
+        monkeypatch.setattr(solvers, "as_fraction", lambda v: calls.append(v) or real(v))
+        res = robust_crt([-0.5, 0.6], [1.5, 1.6])      # 7 m/s, lcm 24
+        assert calls == [1.5, 1.6]
+        assert res.v_hat == pytest.approx(7.0, abs=1e-9)
+        assert res.integers.n_t == (5, 4)
 
 
 class TestSolveCase1:

@@ -46,6 +46,18 @@ class TestClassifyCase:
             else:
                 assert case.case_id is CaseId.III
 
+    def test_ratio_with_a_large_denominator_is_accepted(self):
+        # Any rationalised d, f_p and v_a give an exact ratio; the sizing's
+        # own guards bound its work, not the ratio's denominator.
+        cfg = make_config(d=0.1234)
+        assert classify_case(cfg).case_id is CaseId.I
+        assert cfg.ratio() == Fraction(617, 1500)
+        cfg = make_config(d=0.4123)
+        assert classify_case(cfg).p_over_q == Fraction(4123, 3000)
+        report = cfg.size_report()
+        assert report.size == report.v_ub == 120
+        assert report.v_lb == Fraction(120, 4123)
+
     def test_irrational_ratio_rejected(self):
         with pytest.raises(ConfigurationError):
             make_config(d=0.4 * np.sqrt(2))
@@ -98,9 +110,19 @@ class TestDerivedQuantities:
             assert search_retrieve(obs, cfg).v_hat == pytest.approx(17.0)
         assert len(calls) == 1
 
+    # Cell counts read before the cells were cut from the sizing's table; the
+    # two-band pairs are the d 0.4 configs of the benchmark's config sweep.
     @pytest.mark.parametrize("lambdas, count", [((0.05, 0.06), 33),
                                                 ((0.05, 0.06, 0.07), 315),
-                                                ((0.07, 0.08), 15)])
+                                                ((0.07, 0.08), 15),
+                                                ((0.02, 0.03), 15),
+                                                ((0.03, 0.04), 3),
+                                                ((0.04, 0.05), 7),
+                                                ((0.06, 0.07), 39),
+                                                ((0.08, 0.09), 15),
+                                                ((0.09, 0.1), 57),
+                                                ((0.1, 0.11), 63),
+                                                ((0.11, 0.12), 15)])
     def test_fold_cells_refine_every_band_fold(self, lambdas, count):
         cfg = make_config(lambdas=lambdas)
         cells = cfg.fold_cells()
@@ -116,11 +138,11 @@ class TestDerivedQuantities:
                 for v in (lo, (lo + hi) / 2, np.nextafter(hi, lo)):
                     fold = forward_fold(v, pair)
                     assert (fold.n_t, fold.n_s) == (cells.n_t[k, i], cells.n_s[k, i])
-                assert cells.offsets[k, i] == pytest.approx(
+                assert cells.by_band[i, k] == pytest.approx(
                     fold.n_t * float(vt) + fold.n_s * float(vs))
         # What the search reads on every call, compiled with the cells.
         bands = len(lambdas)
-        assert cells.by_band.flags.c_contiguous and (cells.by_band == cells.offsets.T).all()
+        assert cells.by_band.flags.c_contiguous and cells.by_band.shape == (bands, count)
         assert (cells.widths == cells.hi - cells.lo).all()
         assert cells.moduli.tolist() == [float(m) for m in cfg.observed_moduli()]
         assert cells.wraps.shape == (bands, 3 ** bands)
@@ -128,6 +150,35 @@ class TestDerivedQuantities:
         assert set(cells.wraps.ravel()) == {-1, 0, 1}
         assert (cells.wrap_shifts == cells.wraps * cells.moduli[:, None]).all()
         assert cells.v_ub == float(cfg.size_report().v_ub)
+
+    def test_fold_table_is_built_once_per_config(self, monkeypatch):
+        calls = []
+        real = enumeration._fold_table
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, "_fold_table", counted)
+        cfg = make_config(lambdas=(0.05, 0.06, 0.07))
+        cfg.size_report()
+        cells = cfg.fold_cells()
+        folds = fold_per_wavelength(17.0, cfg)
+        obs = FoldedObservation(tuple(f.v_space for f in folds), xi_e=0.1)
+        for _ in range(2):
+            assert search_retrieve(obs, cfg).v_hat == pytest.approx(17.0)
+        assert len(calls) == 1
+        # The report keeps the whole period's table; the cells are its rows
+        # that meet the determinable range.
+        scale, lo, hi, _, _ = cfg.size_report().fold_table
+        assert len(lo) > len(cells.lo) and lo[0] == -cfg.size_report().v_ub / 2 * scale
+
+    def test_kept_table_stays_out_of_equality(self, reference_config):
+        report = reference_config.size_report()
+        bare = enumeration.EnumerationReport(report.size, report.v_lb, report.v_ub,
+                                             report.collision_pair)
+        assert report.fold_table is not None and bare.fold_table is None
+        assert report == bare and hash(report) == hash(bare) and repr(report) == repr(bare)
 
     def test_cached_size_stays_out_of_equality(self):
         cfg, fresh = make_config(), make_config()
@@ -147,6 +198,10 @@ class TestUnambiguousRange:
     def test_case3(self):
         cfg = make_config()
         assert unambiguous_range(cfg, 0.05) == pytest.approx((-7.5, 7.5))
+
+    def test_wavelength_outside_the_system_rejected(self):
+        with pytest.raises(ConfigurationError, match="not one of"):
+            unambiguous_range(make_config(), 0.07)
 
 
 class TestAzimuthShift:

@@ -5,11 +5,13 @@ through two nested modular folds: pulse-rate sampling folds it by the time
 blind speed, and the cross-channel interferometric phase folds the remainder
 again by the space blind speed.  This package models that cascade exactly,
 classifies system configurations by their fold structure, and retrieves the
-true velocity from multi-wavelength folded measurements: by robust
-Chinese-remainder reconstruction in cases I and II, and in case III by an exact
-minimax search over the system's fold cells that answers only when the
-velocities consistent with the observations lie within ``2*xi_e`` of one
-another.  A slow-time phase simulator and a Monte Carlo harness validate it.
+true velocity from multi-wavelength folded measurements: by one closed-form
+robust Chinese-remainder reconstruction on the reduced moduli in every case
+(in case III valid on Theorem 1's reduced range only), and in case III over
+the full determinable range by an exact minimax search over the system's fold
+cells that answers only when the velocities consistent with the observations
+lie within ``2*xi_e`` of one another.  A slow-time phase simulator and a
+Monte Carlo harness validate it.
 """
 
 from .errors import (AmbiguousSolutionError, ConfigurationError,
@@ -22,9 +24,8 @@ from .system import (CaseId, RadarConfig, SystemCase, TargetMotion,
                      load_config, max_azimuth_shift, sweep_determinable_size,
                      unambiguous_range)
 from .solvers import (AmbiguityIntegers, FoldedObservation, RetrievalResult,
-                      brute_force_oracle, fold_per_wavelength, robust_crt,
-                      search_retrieve, solve_case1, solve_case2,
-                      theorem1_range, theorem1_solve)
+                      brute_force_oracle, crt_range, crt_solve,
+                      fold_per_wavelength, robust_crt, search_retrieve)
 from .enumeration import (EnumerationReport, determinable_size, lcm_rational,
                           size_sweep)
 from .simulate import (RmseCurve, RmsePoint, SlowTimeCube, estimate_doppler,
@@ -39,12 +40,11 @@ __all__ = [
     "RadarConfig", "RetrievalResult", "RmseCurve", "RmsePoint",
     "SlowTimeCube", "SystemCase", "TargetMotion",
     "azimuth_shift", "blind_speeds", "bracket_fold", "brute_force_oracle",
-    "centered_remainder", "classify_case",
-    "config_from_dict", "determinable_size", "doppler_of",
+    "centered_remainder", "classify_case", "config_from_dict", "crt_range",
+    "crt_solve", "determinable_size", "doppler_of",
     "estimate_doppler", "fold_per_wavelength", "forward_fold",
     "forward_fold_grid", "lcm_rational", "load_config", "max_azimuth_shift",
     "monte_carlo_rmse", "robust_crt", "search_retrieve", "simulate_echo",
-    "size_sweep", "solve_case1", "solve_case2", "sweep_determinable_size",
-    "theorem1_range", "theorem1_solve", "unambiguous_range",
+    "size_sweep", "sweep_determinable_size", "unambiguous_range",
     "vsar_estimate_vspace", "__version__",
 ]

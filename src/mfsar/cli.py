@@ -6,6 +6,10 @@ determinable size against a parameter, ``enumerate`` dual-band determinable
 sizes, ``simulate`` a point-target capture end to end, and ``montecarlo`` the
 retrieval-error curve.
 
+``retrieve --method crt`` runs the closed form (:func:`solvers.crt_solve`) in
+any case and warns in case III that it holds only for ``|v_r| < crt_range/2``;
+``auto`` picks it in cases I and II and the search in case III.
+
 The parser is built on the first :func:`main` call and reused for every
 later one in the same process; :func:`main` finds the subcommand's ``cmd_*``
 function by name when it runs, and ``montecarlo`` reads ``MFSAR_THREADS``
@@ -31,12 +35,10 @@ from . import __version__
 from .enumeration import _num, size_sweep, sweep_to_csv
 from .errors import (AmbiguousSolutionError, ConfigurationError,
                      EstimationFailure, NoSolutionError)
-from .folding import centered_remainder
 from .simulate import (estimate_doppler, monte_carlo_rmse, simulate_echo,
                        vsar_estimate_vspace)
 from .solvers import (DEFAULT_ERROR_BOUND, FoldedObservation, brute_force_oracle,
-                      fold_per_wavelength, search_retrieve, solve_case1,
-                      solve_case2, theorem1_range, theorem1_solve)
+                      crt_range, crt_solve, fold_per_wavelength, search_retrieve)
 from .system import (CaseId, RadarConfig, TargetMotion, azimuth_shift,
                      classify_case, load_config, max_azimuth_shift,
                      sweep_determinable_size, unambiguous_range)
@@ -125,6 +127,14 @@ def cmd_classify(args, cfg: RadarConfig) -> int:
     return EXIT_OK
 
 
+def _observe(values: dict, index: int, value: float, cfg: RadarConfig) -> None:
+    """Record the observation of wavelength ``index``, refusing a second one."""
+    if index in values:
+        raise ConfigurationError(
+            f"wavelength {cfg.lambdas[index]:g} (index {index + 1}) observed twice")
+    values[index] = value
+
+
 def _parse_observations(args, cfg: RadarConfig) -> FoldedObservation:
     values = {}
     if args.obs_csv:
@@ -150,7 +160,7 @@ def _parse_observations(args, cfg: RadarConfig) -> FoldedObservation:
                            if abs(l - lam) <= 1e-9 * max(1.0, abs(l))]
                 if not matches:
                     raise ConfigurationError(f"wavelength {lam} not in config")
-                values[matches[0]] = float(row["v_space"])
+                _observe(values, matches[0], float(row["v_space"]), cfg)
     for item in args.obs or []:
         try:
             idx_text, value_text = item.split("=", 1)
@@ -161,7 +171,7 @@ def _parse_observations(args, cfg: RadarConfig) -> FoldedObservation:
         if not 1 <= idx <= len(cfg.lambdas):
             raise ConfigurationError(
                 f"--obs index {idx} outside 1..{len(cfg.lambdas)}")
-        values[idx - 1] = value
+        _observe(values, idx - 1, value, cfg)
     if len(values) != len(cfg.lambdas):
         raise ConfigurationError(
             f"need one observation per wavelength "
@@ -178,13 +188,12 @@ def cmd_retrieve(args, cfg: RadarConfig) -> int:
         method = {CaseId.I: "crt", CaseId.II: "crt", CaseId.III: "search"}[case.case_id]
     warnings = []
     if method == "crt":
-        result = solve_case1(obs, cfg) if case.case_id is CaseId.I else solve_case2(obs, cfg)
-    elif method == "theorem1":
-        result = theorem1_solve(obs, cfg)
-        half = theorem1_range(cfg) / 2.0
-        warnings.append(
-            f"reduced-modulus retrieval is only valid for |v_r| < {half:g} m/s; "
-            "a true velocity outside that range aliases into it undetected")
+        result = crt_solve(obs, cfg)
+        if case.case_id is CaseId.III:
+            warnings.append(
+                f"reduced-modulus retrieval is only valid for |v_r| < "
+                f"{crt_range(cfg) / 2.0:g} m/s; a true velocity outside that "
+                "range aliases into it undetected")
     elif method == "search":
         result = search_retrieve(obs, cfg)
     elif method == "oracle":
@@ -192,9 +201,7 @@ def cmd_retrieve(args, cfg: RadarConfig) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigurationError(f"unknown method {method}")
 
-    vts, _ = cfg.exact_moduli()
-    shifts = [azimuth_shift(centered_remainder(result.v_hat, float(vt)), cfg)
-              for vt in vts]
+    shifts = [azimuth_shift(f.v_time, cfg) for f in fold_per_wavelength(result.v_hat, cfg)]
     payload = result.to_dict()
     payload["azimuth_shift"] = shifts
     payload["warnings"] = warnings
@@ -355,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="observation as <wavelength_index>=<v_space>, 1-based")
     p.add_argument("--obs-csv", help="CSV with header lambda,v_space")
     p.add_argument("--method", default="auto",
-                   choices=["auto", "crt", "theorem1", "search", "oracle"])
+                   choices=["auto", "crt", "search", "oracle"],
+                   help="auto: crt in cases I and II, search in case III; crt in "
+                        "case III holds only for |v_r| < crt_range/2 (warned)")
     p.add_argument("--xi-e", type=float, default=DEFAULT_ERROR_BOUND,
                    help="measurement error bound (m/s)")
     p.add_argument("--json", action="store_true")

@@ -1,16 +1,17 @@
 """Radial-velocity retrieval from multi-wavelength folded measurements.
 
-Four solvers share one contract: given the per-wavelength space-domain
-velocity remainders of an unknown radial velocity, recover that velocity.
+The solvers share one contract: given the per-wavelength measured velocity
+remainders of an unknown radial velocity, recover that velocity.
 
 * ``robust_crt`` -- closed-form reconstruction for remainders of a single
   modulus set ``m * gamma_i`` with pairwise-coprime ``gamma_i``.  Tolerates
   remainder errors below ``m/4``.
-* ``solve_case1`` / ``solve_case2`` -- wrap ``robust_crt`` with the time or
-  space blind speeds of a case I / case II system.
-* ``theorem1_solve`` -- reduces the cascaded (case III) fold to a single-fold
-  problem with moduli ``v_s/q``; valid only when the true velocity magnitude
-  stays below ``lcm(v_s)/(2q)``, and silently wrong outside (by design).
+* ``crt_solve`` -- ``robust_crt`` on a system's observed moduli divided by
+  ``q``, the denominator of ``p/q = v_t/v_s`` (``q = 1`` in cases I and II).
+  In cases I and II that is the whole fold; in case III it is Theorem 1's
+  reduction of the cascaded fold, valid only when the true velocity
+  magnitude stays below ``crt_range/2`` and silently wrong outside (by
+  design).
 * ``search_retrieve`` -- the full-range case III solver: the exact minimum,
   over the config's fold cells, of the oracle's objective, the worst
   per-wavelength circular distance between a velocity's space remainder and
@@ -29,15 +30,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .enumeration import lcm_rational
 from .errors import AmbiguousSolutionError, ConfigurationError, NoSolutionError
-from .folding import (ModulusPair, as_fraction, bracket_fold, centered_remainder,
-                      forward_fold, forward_fold_grid)
+from .folding import (ModulusPair, _split, as_fraction, bracket_fold,
+                      centered_remainder, forward_fold, forward_fold_grid)
 from .system import CaseId, RadarConfig, classify_case
 
 __all__ = [
@@ -45,13 +46,11 @@ __all__ = [
     "AmbiguityIntegers",
     "RetrievalResult",
     "robust_crt",
-    "solve_case1",
-    "solve_case2",
-    "theorem1_solve",
+    "crt_solve",
     "search_retrieve",
     "brute_force_oracle",
     "fold_per_wavelength",
-    "theorem1_range",
+    "crt_range",
 ]
 
 # Objective values within this margin of the minimum count as tied, and
@@ -203,11 +202,15 @@ def robust_crt(remainders, moduli) -> RetrievalResult:
     Raises NoSolutionError when the unfolded values spread (max - min) by
     ``m/2`` or more: exactly then no value reproduces every remainder with an
     error below ``m/4``, so the remainders cannot come from one value within
-    the correctable bound.
+    the correctable bound.  A NaN or infinite remainder raises
+    ConfigurationError.
     """
     rems = [float(r) for r in remainders]
     if len(rems) != len(moduli) or not rems:
         raise ConfigurationError("need one remainder per modulus")
+    for r in rems:
+        if not math.isfinite(r):
+            raise ConfigurationError(f"remainder {r} is not finite")
     m_frac, gammas, lcm_frac = _common_factorisation(moduli)
     m = float(m_frac)
     lcm = float(lcm_frac)
@@ -250,90 +253,71 @@ def fold_per_wavelength(v_r: float, cfg: RadarConfig):
             for vt, vs in zip(vts, vss)]
 
 
-def _integers_at(obs: FoldedObservation, cfg: RadarConfig, v: float):
-    """Folding integers of ``v`` per wavelength, plus the wrap that carries
-    each observation onto its remainder: in ``n_t`` when the observation is
-    the time remainder (case I), in ``n_s`` otherwise."""
+def _integers_at(v: float, v_space, vts, vss):
+    """Folding integers ``(n_t, n_s)`` of ``v`` per band, from float blind
+    speeds, plus the wrap that carries each observation onto its remainder:
+    in ``n_t`` when the observation is the time remainder (``v_t < v_s``,
+    case I), in ``n_s`` otherwise."""
     n_t, n_s = [], []
-    for fold, v_obs, m, vs in zip(fold_per_wavelength(v, cfg), obs.v_space,
-                                  cfg.observed_moduli(), cfg.exact_moduli()[1]):
-        wrap = bracket_fold(fold.v_space - v_obs, float(m))
-        n_t.append(fold.n_t + wrap * (m != vs))
-        n_s.append(fold.n_s + wrap * (m == vs))
-    return AmbiguityIntegers(n_t=tuple(n_t), n_s=tuple(n_s))
+    for v_obs, vt, vs in zip(v_space, vts, vss):
+        k_t, v_time = _split(v, vt)
+        k_s, v_rem = _split(v_time, vs)
+        wrap = bracket_fold(v_rem - v_obs, min(vt, vs))
+        n_t.append(int(k_t) + wrap * (vt < vs))
+        n_s.append(int(k_s) + wrap * (vt >= vs))
+    return tuple(n_t), tuple(n_s)
 
 
-def _require_case(cfg: RadarConfig, *allowed):
+def _reduced_moduli(cfg: RadarConfig):
+    """Each band's observed modulus, divided in case III by ``q``, the
+    denominator of ``p/q`` (``q = 1`` in case II; case I has no ``q``)."""
     case = classify_case(cfg)
-    if case.case_id not in allowed:
-        names = "/".join(c.value for c in allowed)
-        raise ConfigurationError(
-            f"solver requires a case {names} system, got case {case.case_id.value}"
-        )
-    return case
+    if case.case_id is not CaseId.III:
+        return cfg.observed_moduli()
+    return [m / case.p_over_q.denominator for m in cfg.observed_moduli()]
 
 
-def solve_case1(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
-    """Retrieve the radial velocity of a case I system (time fold only)."""
-    _require_case(cfg, CaseId.I)
-    _check_observation(obs, cfg)
-    return robust_crt(obs.v_space, cfg.observed_moduli())
+def crt_range(cfg: RadarConfig) -> float:
+    """Width ``lcm(observed moduli)/q`` of the interval, centred on zero,
+    where :func:`crt_solve` is valid."""
+    return float(lcm_rational(_reduced_moduli(cfg)))
 
 
-def solve_case2(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
-    """Retrieve the radial velocity of a case II (DPCA-spaced) system.
+def crt_solve(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
+    """Closed-form retrieval of any case by the robust CRT on reduced moduli.
 
-    The cascaded fold collapses to a single fold by the space blind speeds,
-    so the aggregate integers ``n_st = n_s + k*n_t`` are recovered by the
-    closed-form reconstruction; the per-fold split is the estimate's fold
-    plus each observation's wrap (useful for relocation via the time
-    remainder).
+    The moduli are the observed ones divided by ``q`` (:func:`crt_range`).
+    In cases I and II the fold is a single one by those moduli, so the
+    estimate is the velocity in ``[-crt_range/2, crt_range/2)``.  In case III
+    Theorem 1 reduces the cascaded fold to that single fold whenever the true
+    velocity lies in that interval; for larger velocities the estimate
+    aliases into it and is wrong by construction.  Callers who cannot bound
+    the velocity should use :func:`search_retrieve` instead.
+
+    ``v_hat`` may lie up to ``xi_e`` across a fold edge from the velocity a
+    band observed, so each band takes the integers of ``v_hat``,
+    ``v_hat - xi_e`` or ``v_hat + xi_e``, the first whose rebuild
+    ``v_obs + n_t*v_t + n_s*v_s`` is within TIE_TOLERANCE of the closest to
+    ``v_hat``.  Case II also reports the aggregate integers
+    ``n_st = n_s + k*n_t`` that the reconstruction recovers.
     """
-    _require_case(cfg, CaseId.II)
     _check_observation(obs, cfg)
-    inner = robust_crt(obs.v_space, cfg.observed_moduli())
-    integers = replace(_integers_at(obs, cfg, inner.v_hat), n_st=inner.integers.n_t)
-    return RetrievalResult(v_hat=inner.v_hat, integers=integers,
-                           method="closed_form_crt", residual=inner.residual)
-
-
-def theorem1_range(cfg: RadarConfig) -> float:
-    """Width ``lcm(v_s)/q`` of the interval where the reduced solver is valid."""
-    _, vss = cfg.exact_moduli()
-    q = cfg.ratio().denominator
-    return float(lcm_rational(vss) / q)
-
-
-def theorem1_solve(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
-    """Reduce the cascaded fold to a single fold with moduli ``v_s/q``.
-
-    Valid whenever the true velocity lies in ``[-v_lb/2, v_lb/2)`` with
-    ``v_lb = lcm(v_s)/q``; for larger velocities the estimate aliases into
-    that interval and is wrong by construction.  Callers who cannot bound the
-    velocity should use :func:`search_retrieve` instead.
-    """
-    case = _require_case(cfg, CaseId.II, CaseId.III)
-    _check_observation(obs, cfg)
-    vts, vss = cfg.exact_moduli()
-    q = case.p_over_q.denominator
-    reduced = [vs / q for vs in vss]
-    zetas = [centered_remainder(v, float(r)) for v, r in zip(obs.v_space, reduced)]
-    # lcm(v_s/q) = lcm(v_s)/q, so the reconstruction range is [-v_lb/2, v_lb/2).
-    inner = robust_crt(zetas, reduced)
-    # v_hat may lie up to xi_e across a fold edge from the velocity a band
-    # observed, so each band takes the integers, found within xi_e of v_hat,
-    # that rebuild v_hat from its observation most closely.
+    inner = robust_crt(obs.v_space, _reduced_moduli(cfg))
     v_hat, xi = inner.v_hat, obs.xi_e
-    options = [_integers_at(obs, cfg, v) for v in (v_hat, v_hat - xi, v_hat + xi)]
-    pairs = []
+    vts, vss = ([float(v) for v in moduli] for moduli in cfg.exact_moduli())
+    options = [_integers_at(v, obs.v_space, vts, vss)
+               for v in (v_hat, v_hat - xi, v_hat + xi)]
+    n_t, n_s = [], []
     for i, (v_obs, vt, vs) in enumerate(zip(obs.v_space, vts, vss)):
-        best = min(options, key=lambda o: abs(
-            v_obs + o.n_t[i] * float(vt) + o.n_s[i] * float(vs) - v_hat))
-        pairs.append((best.n_t[i], best.n_s[i]))
-    n_t, n_s = zip(*pairs)
-    integers = AmbiguityIntegers(n_t=n_t, n_s=n_s)
-    return RetrievalResult(v_hat=v_hat, integers=integers,
-                           method="theorem1_crt", residual=inner.residual)
+        misses = [abs(v_obs + o_t[i] * vt + o_s[i] * vs - v_hat) for o_t, o_s in options]
+        limit = min(misses) + TIE_TOLERANCE
+        o_t, o_s = next(o for o, miss in zip(options, misses) if miss <= limit)
+        n_t.append(o_t[i])
+        n_s.append(o_s[i])
+    n_st = inner.integers.n_t if classify_case(cfg).case_id is CaseId.II else None
+    integers = AmbiguityIntegers(n_t=tuple(n_t), n_s=tuple(n_s), n_st=n_st)
+    return RetrievalResult(v_hat=v_hat, integers=integers, method="closed_form_crt",
+                           residual=inner.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +347,9 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     cells' reconstructions form a bands x cells x wraps array reduced over
     the band axis.
     """
-    _require_case(cfg, CaseId.III)
+    case = classify_case(cfg).case_id
+    if case is not CaseId.III:
+        raise ConfigurationError(f"the search requires a case III system, got case {case.value}")
     _check_observation(obs, cfg)
     if len(cfg.lambdas) < 2:
         raise ConfigurationError("the search needs at least two wavelengths")
@@ -489,5 +475,7 @@ def brute_force_oracle(obs: FoldedObservation, cfg: RadarConfig,
     v_ref, s_ref = _golden_min(scalar_score, lo, hi)
     if s_ref < s_best:
         v_best, s_best = v_ref, s_ref
-    return RetrievalResult(v_hat=v_best, integers=_integers_at(obs, cfg, v_best),
+    n_t, n_s = _integers_at(v_best, obs.v_space,
+                            *([float(v) for v in moduli] for moduli in cfg.exact_moduli()))
+    return RetrievalResult(v_hat=v_best, integers=AmbiguityIntegers(n_t=n_t, n_s=n_s),
                            method="oracle", residual=s_best)

@@ -264,6 +264,8 @@ class TestObservationCsv:
         ("lambda,v_space\n0.05,1.0\n0.07,2.0\n", "wavelength 0.07 not in config"),
         ("lambda,v_space\n0.05,1.0\n0.06\n", "line 3 has no v_space"),
         (None, "cannot read observations"),
+        ("lambda,v_space\n0.05,1.0\n0.06,2.0\n0.05,5.0\n",
+         "wavelength 0.05 (index 1) observed twice"),
     ])
     def test_bad_file_is_refused(self, tmp_path, config_path, capsys, text, message):
         path = tmp_path / "obs.csv"
@@ -273,6 +275,66 @@ class TestObservationCsv:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+    def test_wavelength_observed_by_a_row_and_an_obs(self, tmp_path, config_path, capsys):
+        path = tmp_path / "obs.csv"
+        path.write_text("lambda,v_space\n0.05,1.0\n")
+        assert self.retrieve(config_path, "--obs-csv", str(path), "--obs=1=1.0",
+                             "--obs=2=2.0") == EXIT_CONFIG
+        assert "wavelength 0.05 (index 1) observed twice" in capsys.readouterr().err
+
+
+class TestRetrieveMethod:
+    def retrieve(self, path, truth, cfg, *extra):
+        # Case I measures the time remainder, cases II and III the space one.
+        time = cfg.ratio() < 1
+        folds = fold_per_wavelength(truth, cfg)
+        return main(["retrieve", "--config", path, "--json", "--xi-e", "0.1",
+                     *obs_args(f.v_time if time else f.v_space for f in folds), *extra])
+
+    def test_crt_in_case3_warns_of_its_range(self, config_path, capsys):
+        assert self.retrieve(config_path, 7.0, make_config(), "--method", "crt") == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["v_hat"] == pytest.approx(7.0)
+        assert payload["method"] == "closed_form_crt"
+        assert payload["warnings"] == [
+            "reduced-modulus retrieval is only valid for |v_r| < 15 m/s; a true "
+            "velocity outside that range aliases into it undetected"]
+
+    def test_crt_in_case1(self, tmp_path, capsys):
+        overrides = dict(d=0.2, lambdas=(0.03, 0.04))
+        path = write_config(tmp_path, **overrides)
+        assert self.retrieve(path, 17.0, make_config(**overrides),
+                             "--method", "crt") == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["v_hat"] == pytest.approx(17.0)
+        assert payload["warnings"] == []
+
+    def test_theorem1_is_not_a_method(self, config_path):
+        with pytest.raises(SystemExit) as exc:
+            self.retrieve(config_path, 7.0, make_config(), "--method", "theorem1")
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("d,method", [(0.2, "closed_form_crt"),
+                                          (0.6, "closed_form_crt"), (0.4, "search")])
+    def test_auto_takes_the_closed_form_in_cases_1_and_2(self, tmp_path, capsys, d, method):
+        path = write_config(tmp_path, d=d)
+        assert self.retrieve(path, 17.0, make_config(d=d), "--method", "auto") == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["v_hat"] == pytest.approx(17.0)
+        assert payload["method"] == method
+        assert payload["warnings"] == []
+
+    @pytest.mark.parametrize("obs", [
+        ["--obs", "1=1.0", "--obs", "1=5.0", "--obs", "2=2.0"],
+        ["--obs", "1=1.0", "--obs", "2=2.0", "--obs", "1=1.0"],
+    ])
+    def test_wavelength_observed_twice(self, config_path, capsys, obs):
+        # The second value used to replace the first: 50.0 m/s from 5.0.
+        code = main(["retrieve", "--config", config_path, "--xi-e", "0.1", *obs])
+        assert code == EXIT_CONFIG
+        assert "wavelength 0.05 (index 1) observed twice" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mfsar import (AmbiguousSolutionError, ConfigurationError,
+from mfsar import (AmbiguousSolutionError, CaseId, ConfigurationError,
                    FoldedObservation, ModulusPair, NoSolutionError,
-                   brute_force_oracle, fold_per_wavelength, forward_fold,
-                   robust_crt, search_retrieve, solve_case1, solve_case2,
-                   theorem1_range, theorem1_solve)
+                   brute_force_oracle, classify_case, crt_range, crt_solve,
+                   fold_per_wavelength, forward_fold, robust_crt,
+                   search_retrieve)
 from mfsar import solvers
 from conftest import make_config
 
@@ -126,6 +127,11 @@ class TestRobustCrt:
         res = robust_crt([0.95, -0.95, 0.95], [2, 3, 5])
         assert res.v_hat == pytest.approx(11.0, abs=0.05)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_remainder_not_finite(self, bad):
+        with pytest.raises(ConfigurationError, match=f"remainder {bad} is not finite"):
+            robust_crt([bad, 0.0], [5, 6])
+
     def test_each_modulus_is_rationalised_once(self, monkeypatch):
         # The float moduli are m*gamma_i of the one factorisation.
         calls = []
@@ -137,27 +143,44 @@ class TestRobustCrt:
         assert res.integers.n_t == (5, 4)
 
 
+def rebuilt(res, obs, cfg):
+    """Each band's observation unfolded by the reported integers."""
+    return [v + n_t * float(vt) + n_s * float(vs) for v, n_t, n_s, vt, vs in
+            zip(obs.v_space, res.integers.n_t, res.integers.n_s, *cfg.exact_moduli())]
+
+
+class TestCrtRange:
+    # d 0.2 and 0.25 give case I, 0.6 and 1.2 case II (d 0.8 gives 8/3, case III).
+    @pytest.mark.parametrize("d", [0.2, 0.25, 0.6, 1.2])
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_is_the_determinable_size_in_cases_1_and_2(self, d, k):
+        cfg = make_config(d=d, lambdas=(round(0.01 * k, 2), round(0.01 * (k + 1), 2)))
+        assert classify_case(cfg).case_id is not CaseId.III
+        assert crt_range(cfg) == cfg.size_report().size
+
+    def test_case1_uses_the_time_moduli(self):
+        # Ratio 2/3: lcm(v_t) = lcm(12, 16) = 48, not lcm(v_s)/3 = 24.
+        assert crt_range(make_config(d=0.2, lambdas=(0.03, 0.04))) == 48
+
+
 class TestSolveCase1:
     def make(self):
         return make_config(d=0.2, lambdas=(0.03, 0.04))
 
     def test_in_range_identity(self):
         cfg = self.make()
-        res = solve_case1(FoldedObservation((5.0, 5.0)), cfg)
+        res = crt_solve(FoldedObservation((5.0, 5.0)), cfg)
         assert res.v_hat == pytest.approx(5.0, abs=1e-9)
         assert res.integers.n_t == (0, 0)
 
     def test_folded_velocity(self):
         cfg = self.make()
         obs = FoldedObservation(tuple(f.v_time for f in fold_per_wavelength(17.0, cfg)))
-        res = solve_case1(obs, cfg)
+        res = crt_solve(obs, cfg)
         assert res.v_hat == pytest.approx(17.0, abs=1e-9)
+        assert res.integers.n_t == (1, 1) and res.integers.n_st is None
         oracle = brute_force_oracle(obs, cfg, v_range=48.0, step=0.01)
         assert oracle.v_hat == pytest.approx(17.0, abs=0.01)
-
-    def test_rejects_other_cases(self, reference_config):
-        with pytest.raises(ConfigurationError, match="case I"):
-            solve_case1(FoldedObservation((0.0, 0.0)), reference_config)
 
 
 class TestSolveCase2:
@@ -168,14 +191,14 @@ class TestSolveCase2:
         cfg = self.make()
         folds = fold_per_wavelength(17.0, cfg)
         assert [f.v_space for f in folds] == pytest.approx([-1.0, 3.0])
-        res = solve_case2(FoldedObservation(tuple(f.v_space for f in folds)), cfg)
+        res = crt_solve(FoldedObservation(tuple(f.v_space for f in folds)), cfg)
         assert res.v_hat == pytest.approx(17.0, abs=1e-9)
         assert res.integers.n_st == (3, 1)
         assert res.integers.n_t == (1, 1)
         assert res.integers.n_s == (1, -1)
 
     def test_zero(self):
-        res = solve_case2(FoldedObservation((0.0, 0.0)), self.make())
+        res = crt_solve(FoldedObservation((0.0, 0.0)), self.make())
         assert res.v_hat == pytest.approx(0.0, abs=1e-12)
 
     def test_perturbed_remainders_keep_integers(self):
@@ -187,7 +210,7 @@ class TestSolveCase2:
             folds = fold_per_wavelength(truth, cfg)
             noise = rng.uniform(-0.25, 0.25, size=2)
             obs = FoldedObservation(tuple(f.v_space + e for f, e in zip(folds, noise)))
-            res = solve_case2(obs, cfg)
+            res = crt_solve(obs, cfg)
             # The per-fold split adds up to the recovered aggregate (k = 2).
             assert [s + 2 * t for t, s in zip(res.integers.n_t, res.integers.n_s)] \
                 == list(res.integers.n_st)
@@ -200,68 +223,45 @@ class TestSolveCase2:
 
 class TestTheorem1:
     def test_reduced_moduli_and_range(self, reference_config):
-        assert theorem1_range(reference_config) == pytest.approx(30.0)
+        # lcm(15, 18)/3: the space moduli reduced by q = 3.
+        assert crt_range(reference_config) == pytest.approx(30.0)
 
     @pytest.mark.parametrize(
         "truth,obs1,obs2,expected",
         [(t, o1, o2, closed) for t, o1, o2, *_rest, closed in
          [(r[0], r[1], r[2], r[8]) for r in BENCHMARK_TARGETS]])
     def test_closed_form_column(self, reference_config, truth, obs1, obs2, expected):
-        res = theorem1_solve(FoldedObservation((obs1, obs2)), reference_config)
+        res = crt_solve(FoldedObservation((obs1, obs2)), reference_config)
         assert res.v_hat == pytest.approx(expected, abs=5e-4)
-        assert res.method == "theorem1_crt"
+        assert res.method == "closed_form_crt"
 
     def test_out_of_range_truth_is_wrong_by_design(self, reference_config):
         truth = 17.01
         folds = fold_per_wavelength(truth, reference_config)
-        res = theorem1_solve(
+        res = crt_solve(
             FoldedObservation(tuple(f.v_space for f in folds)), reference_config)
         assert abs(res.v_hat - truth) > 1.0
         # ... but congruent to the truth modulo the reduced range
         assert (res.v_hat - truth) % 30 == pytest.approx(0.0, abs=1e-6) or \
                (truth - res.v_hat) % 30 == pytest.approx(0.0, abs=1e-6)
 
-    def test_degenerates_to_case2_solution(self):
-        cfg = make_config(d=0.6, lambdas=(0.03, 0.07))
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            truth = float(rng.uniform(-20.5, 20.5))
-            folds = fold_per_wavelength(truth, cfg)
-            noise = rng.uniform(-0.2, 0.2, size=2)
-            obs = FoldedObservation(tuple(f.v_space + e for f, e in zip(folds, noise)))
-            a = theorem1_solve(obs, cfg)
-            b = solve_case2(obs, cfg)
-            assert a.v_hat == pytest.approx(b.v_hat, abs=1e-9)
-
-    def test_rejects_case1(self):
-        cfg = make_config(d=0.2, lambdas=(0.03, 0.04))
-        with pytest.raises(ConfigurationError):
-            theorem1_solve(FoldedObservation((0.0, 0.0)), cfg)
-
-    @staticmethod
-    def rebuilt(res, obs, cfg):
-        """Each band's observation unfolded by the reported integers."""
-        return [v + n_t * float(vt) + n_s * float(vs) for v, n_t, n_s, vt, vs in
-                zip(obs.v_space, res.integers.n_t, res.integers.n_s,
-                    *cfg.exact_moduli())]
-
     def test_integers_follow_the_space_wrap(self, reference_config):
         # v_hat 7.5 folds to n_s 1 on band 1, which rebuilds 22.55.
         obs = FoldedObservation((7.55, 7.45), xi_e=0.2)
-        res = theorem1_solve(obs, reference_config)
+        res = crt_solve(obs, reference_config)
         assert res.v_hat == pytest.approx(7.5)
         assert res.integers.n_t == (0, 0) and res.integers.n_s == (0, 0)
-        assert self.rebuilt(res, obs, reference_config) == pytest.approx([7.55, 7.45])
+        assert rebuilt(res, obs, reference_config) == pytest.approx([7.55, 7.45])
 
     def test_integers_across_the_time_edge(self):
         # v_hat lies just past the time edge at 8; band 1 observed a velocity
         # below it and needs (n_t, n_s) = (0, 1), not the fold of v_hat.
         cfg = make_config(lambdas=(0.04, 0.05))
         obs = FoldedObservation((-3.9748019156063874, -6.940483297822108), xi_e=0.1)
-        res = theorem1_solve(obs, cfg)
+        res = crt_solve(obs, cfg)
         assert res.v_hat == pytest.approx(8.0424, abs=1e-4)
         assert (res.integers.n_t[0], res.integers.n_s[0]) == (0, 1)
-        for v in self.rebuilt(res, obs, cfg):
+        for v in rebuilt(res, obs, cfg):
             assert abs(v - res.v_hat) <= 2 * obs.xi_e
 
     def test_integers_rebuild_the_answer(self):
@@ -269,7 +269,7 @@ class TestTheorem1:
         for d in (0.4, 0.5, 0.6):
             for lambdas in ((0.05, 0.06), (0.04, 0.05), (0.05, 0.06, 0.07)):
                 cfg = make_config(d=d, lambdas=lambdas)
-                half = theorem1_range(cfg) / 2
+                half = crt_range(cfg) / 2
                 for xi in (0.05, 0.1, 0.2):
                     rng = np.random.default_rng(1)
                     for _ in range(60):
@@ -278,15 +278,53 @@ class TestTheorem1:
                             tuple(f.v_space + rng.uniform(-xi, xi)
                                   for f in fold_per_wavelength(truth, cfg)), xi_e=xi)
                         try:
-                            res = theorem1_solve(obs, cfg)
+                            res = crt_solve(obs, cfg)
                         except (AmbiguousSolutionError, NoSolutionError):
                             continue
                         if abs(res.v_hat - truth) > xi:
                             continue
                         checked += 1
-                        for v in self.rebuilt(res, obs, cfg):
+                        for v in rebuilt(res, obs, cfg):
                             assert abs(v - res.v_hat) <= 2 * xi, (d, lambdas, obs)
         assert checked > 1000
+
+
+# Closed-form systems for the property below: d picks the case (0.2, 0.25: I;
+# 0.6: II; 0.4, 0.45: III) and lambdas are 2 or 3 consecutive hundredths.
+@st.composite
+def crt_problems(draw):
+    d = draw(st.sampled_from([0.2, 0.25, 0.4, 0.45, 0.6]))
+    first = draw(st.integers(2, 10))
+    bands = draw(st.integers(2, 3))
+    cfg = make_config(d=d, lambdas=tuple(round(0.01 * (first + i), 2)
+                                         for i in range(bands)))
+    try:
+        moduli = solvers._reduced_moduli(cfg)
+        factor = float(solvers._common_factorisation(moduli)[0])
+    except ConfigurationError:          # reduced moduli not pairwise coprime
+        assume(False)
+    xi = draw(st.floats(0.0, factor / 4, exclude_max=True))
+    half = crt_range(cfg) / 2 - xi
+    truth = draw(st.floats(-half, half, exclude_max=True))
+    errors = draw(st.lists(st.floats(-xi, xi), min_size=bands, max_size=bands))
+    case_i = classify_case(cfg).case_id is CaseId.I
+    obs = tuple((f.v_time if case_i else f.v_space) + e
+                for f, e in zip(fold_per_wavelength(truth, cfg), errors))
+    return cfg, truth, FoldedObservation(obs, xi_e=xi), errors, moduli
+
+
+@given(crt_problems())
+@settings(max_examples=300)
+def test_crt_solve_recovers_every_case(problem):
+    cfg, truth, obs, errors, moduli = problem
+    res = crt_solve(obs, cfg)
+    assert abs(res.v_hat - truth) <= max(map(abs, errors)) + 1e-9
+    for v in rebuilt(res, obs, cfg):
+        assert abs(v - res.v_hat) <= 2 * obs.xi_e + 1e-9
+    if classify_case(cfg).case_id is CaseId.II:
+        assert res.integers.n_st == robust_crt(obs.v_space, moduli).integers.n_t
+    else:
+        assert res.integers.n_st is None
 
 
 class TestSearchRetrieve:
@@ -462,7 +500,7 @@ class TestBruteForceOracle:
         cfg = make_config(d=0.6, lambdas=(0.02, 0.03))
         obs = FoldedObservation((1.395, -0.605))
         oracle = brute_force_oracle(obs, cfg)
-        expected = solve_case2(obs, cfg).integers
+        expected = crt_solve(obs, cfg).integers
         assert (oracle.integers.n_t, oracle.integers.n_s) == (expected.n_t, expected.n_s)
         assert oracle.integers.n_t == (1, 0)
 

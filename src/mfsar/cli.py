@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .enumeration import _num, size_sweep, sweep_to_csv
@@ -64,14 +63,39 @@ def _emit(args, text: str, cfg: RadarConfig, seed: int | None = None) -> None:
     Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _steps(start: float, stop: float, step: float, closed: bool) -> list:
+    """``start + k*step`` for every whole k that stays before ``stop``, or at
+    it when ``closed``.  The 1e-9 absorbs a float quotient falling just short
+    of a whole number (0.3/0.1), rounding to 10 places drops the noise of
+    ``k*step`` (0.1 + 2*0.1), and adding 0.0 turns a rounded -0.0 into 0.0."""
+    quotient = (stop - start) / step
+    n = int(quotient + 1e-9) + 1 if closed else math.ceil(quotient - 1e-9)
+    return [round(start + k * step, 10) + 0.0 for k in range(n)]
+
+
 def _parse_grid(spec: str):
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ConfigurationError(f"grid must be lo:hi:step, got {spec!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ConfigurationError(f"grid {spec!r} is not finite")
     if step <= 0 or hi <= lo:
         raise ConfigurationError(f"bad grid {spec!r}")
-    return np.arange(lo, hi, step)
+    return _steps(lo, hi, step, closed=False)
+
+
+# Number options that no library call checks for NaN or infinity before
+# using them (--xi-e is checked by FoldedObservation).
+_FINITE_OPTIONS = ("vr", "vx", "noise_db", "xi_start", "xi_stop", "xi_step")
+
+
+def _require_finite(args) -> None:
+    for name in _FINITE_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(
+                f"--{name.replace('_', '-')} is not finite, got {value}")
 
 
 def _wavelength(cfg: RadarConfig, index: int) -> float:
@@ -312,10 +336,7 @@ def cmd_montecarlo(args, cfg: RadarConfig) -> int:
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("MFSAR_THREADS", "1"))
-    # Whole steps that stay at or above --xi-stop; 1e-9 absorbs the float
-    # quotient falling just short of a whole number (0.3/0.1).
-    n = int((args.xi_start - args.xi_stop) / args.xi_step + 1e-9)
-    xi_grid = [round(args.xi_start - k * args.xi_step, 10) for k in range(n + 1)]
+    xi_grid = _steps(args.xi_start, args.xi_stop, -args.xi_step, closed=True)
     curve = monte_carlo_rmse(cfg, xi_grid, trials=args.trials, seed=args.seed,
                              n_workers=threads)
     if args.csv:
@@ -414,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
     try:
+        _require_finite(args)
         return globals()[f"cmd_{args.command}"](args, load_config(args.config))
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)

@@ -200,18 +200,14 @@ def vsar_estimate_vspace(cube: SlowTimeCube, cfg: RadarConfig,
 
 def _mc_point(cfg: RadarConfig, xi_e: float, xi_index: int, trials: int,
               seed: int) -> RmsePoint:
-    n_lam = len(cfg.lambdas)
     v_range = float(cfg.size_report().size)
-    truths = np.empty(trials)
-    errors = np.zeros((trials, n_lam))
-    for trial in range(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(xi_index, trial)))
-        truths[trial] = rng.uniform(-v_range / 2.0, v_range / 2.0)
-        if xi_e > 0:
-            errors[trial] = rng.uniform(-xi_e, xi_e, size=n_lam)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(xi_index,)))
+    truths = rng.uniform(-v_range / 2.0, v_range / 2.0, size=trials)
     observed = np.column_stack([forward_fold_grid(truths, vt, vs)[1]
-                                for vt, vs in zip(*cfg.exact_moduli())]) + errors
+                                for vt, vs in zip(*cfg.exact_moduli())])
+    # Scaled, not drawn on [-xi_e, xi_e]: numpy refuses that interval for
+    # xi_e -0.0, and a negative xi_e must reach FoldedObservation's refusal.
+    observed += xi_e * rng.uniform(-1.0, 1.0, size=observed.shape)
     squared = []
     ambiguous = no_solution = silent_gross = 0
     for v_r, v_space in zip(truths.tolist(), observed.tolist()):
@@ -249,8 +245,10 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     circle of the determinable size stay in the RMSE and are also counted in
     ``silent_gross``.
 
-    Every trial owns an RNG substream keyed on ``(seed, point, trial)``, so
-    the curve is bit-identical for any ``n_workers`` (at most one per point).
+    Each grid point draws from one RNG stream keyed on ``(seed, point)``:
+    first all its truths, then all its errors.  A point runs whole in one
+    process (at most one worker per point), so its stream, and the curve,
+    are bit-identical for any ``n_workers``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -126,7 +126,8 @@ def test_out_writes_a_manifest(tmp_path, config_path):
     manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["seed"] == 7
-    assert manifest["config"] == json.loads(open(config_path).read())
+    with open(config_path) as handle:
+        assert manifest["config"] == json.load(handle)
     assert manifest["outputs"] == [str(out)]
     assert list(manifest) == ["subcommand", "config", "seed", "outputs", "version"]
     assert manifest["version"] == mfsar.__version__
@@ -173,6 +174,39 @@ def test_grid_below_zero_may_follow_a_space(config_path, capsys):
     assert main(["sweep", "--config", config_path, "--vary", "d",
                  "--grid", "-0.4:0.5:0.1"]) == EXIT_CONFIG
     assert "swept values must be positive" in capsys.readouterr().err
+
+
+def test_grids_take_whole_steps_before_their_end(config_path, capsys):
+    assert main(["sweep", "--config", config_path, "--vary", "d",
+                 "--grid", "0.1:0.4:0.1"]) == EXIT_OK
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()] == [
+        "d", "0.1", "0.2", "0.3"]
+    assert main(["fold", "--config", config_path, "--grid=-0.3:0:0.1"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["-0.3", "-0.2", "-0.1"] * 2
+    # 0.3 - 3*0.1 rounds to -0.0.
+    assert main(["montecarlo", "--config", config_path, "--trials", "1",
+                 "--xi-start", "0.3", "--xi-step", "0.1", "--csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith("0.0,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--vr", "nan"],
+    ["simulate", "--vr", "3.0", "--vx", "inf"],
+    ["simulate", "--vr", "3.0", "--noise-db", "nan"],
+    ["fold", "--vr", "inf"],
+    ["fold", "--grid=-inf:0:0.1"],
+    ["fold", "--grid=0:1:nan"],
+    ["sweep", "--vary", "f_p", "--grid", "700:inf:100"],
+    ["montecarlo", "--trials", "1", "--xi-start", "inf"],
+    ["montecarlo", "--trials", "1", "--xi-stop=-inf"],
+    ["montecarlo", "--trials", "1", "--xi-step", "nan"],
+])
+def test_non_finite_numbers_are_refused(config_path, capsys, argv):
+    assert main([argv[0], "--config", config_path, *argv[1:]]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
 
 
 def test_sweep_prints_the_exact_blind_speed(config_path, capsys):

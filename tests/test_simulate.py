@@ -155,14 +155,34 @@ def test_monte_carlo_rejects_empty_runs(reference_config):
         monte_carlo_rmse(reference_config, [0.1], trials=0, seed=0)
 
 
+def test_monte_carlo_takes_negative_zero_and_refuses_a_negative_bound(reference_config):
+    point = monte_carlo_rmse(reference_config, [-0.0], trials=5, seed=0).points[0]
+    assert point.failures == 0 and point.rmse < 1e-9
+    with pytest.raises(ValueError, match="xi_e must be a finite number >= 0"):
+        monte_carlo_rmse(reference_config, [-0.2], trials=5, seed=0)
+
+
 def test_monte_carlo_curve_is_pinned():
-    # Measured before the trials of a point were folded in one grid call.
+    # Measured when each point first drew from one stream keyed on (seed, point).
     curve = monte_carlo_rmse(make_config(lambdas=(0.05, 0.06, 0.07)), [0.05, 0.1, 0.3],
                              trials=10, seed=11)
     assert [(p.xi_e, p.rmse, p.trials, p.failures) for p in curve.points] == [
-        (0.05, 0.017422843756004985, 10, 0),
-        (0.1, 0.029009521883209658, 10, 0),
-        (0.3, 0.11331674159557285, 10, 1)]
+        (0.05, 0.0196504672424276, 10, 0),
+        (0.1, 0.0398778512331895, 10, 0),
+        (0.3, 0.10486378322781273, 10, 0)]
+
+
+def test_monte_carlo_seeds_one_stream_per_point(monkeypatch):
+    keys = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        keys.append(kwargs.get("spawn_key"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monte_carlo_rmse(make_config(), [0.0, 0.1, 0.2], trials=5, seed=3)
+    assert keys == [(0,), (1,), (2,)]
 
 
 def test_monte_carlo_folds_each_truth_as_the_scalar_fold(monkeypatch):
@@ -178,13 +198,13 @@ def test_monte_carlo_folds_each_truth_as_the_scalar_fold(monkeypatch):
     half = float(cfg.size_report().size) / 2
     expected = []
     for point, xi_e in enumerate([0.0, 0.2]):
-        for trial in range(25):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=4, spawn_key=(point, trial)))
-            folds = fold_per_wavelength(rng.uniform(-half, half), cfg)
-            errors = rng.uniform(-xi_e, xi_e, size=3) if xi_e > 0 else np.zeros(3)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(point,)))
+        truths = rng.uniform(-half, half, size=25)
+        errors = xi_e * rng.uniform(-1.0, 1.0, size=(25, 3))
+        for v_r, error in zip(truths, errors):
+            folds = fold_per_wavelength(float(v_r), cfg)
             expected.append(FoldedObservation(
-                tuple(f.v_space + e for f, e in zip(folds, errors)), xi_e=xi_e))
+                tuple(f.v_space + float(e) for f, e in zip(folds, error)), xi_e=xi_e))
     assert seen == expected
 
 

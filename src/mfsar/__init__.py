@@ -19,15 +19,14 @@ from .errors import (AmbiguousSolutionError, ConfigurationError,
 from .folding import (FoldResult, ModulusPair, blind_speeds, bracket_fold,
                       centered_remainder, doppler_of, forward_fold,
                       forward_fold_grid)
-from .system import (CaseId, RadarConfig, SystemCase, TargetMotion,
-                     azimuth_shift, classify_case, config_from_dict,
-                     load_config, max_azimuth_shift, sweep_determinable_size,
+from .system import (CaseId, RadarConfig, TargetMotion, azimuth_shift,
+                     classify_case, config_from_dict, load_config,
+                     max_azimuth_shift, sweep_determinable_size,
                      unambiguous_range)
 from .solvers import (AmbiguityIntegers, FoldedObservation, RetrievalResult,
                       brute_force_oracle, crt_range, crt_solve,
                       fold_per_wavelength, robust_crt, search_retrieve)
-from .enumeration import (EnumerationReport, determinable_size, lcm_rational,
-                          size_sweep)
+from .enumeration import EnumerationReport, determinable_size, size_sweep
 from .simulate import (RmseCurve, RmsePoint, SlowTimeCube, estimate_doppler,
                        monte_carlo_rmse, simulate_echo, vsar_estimate_vspace)
 
@@ -38,12 +37,12 @@ __all__ = [
     "ConfigurationError", "EnumerationReport", "EstimationFailure",
     "FoldResult", "FoldedObservation", "ModulusPair", "NoSolutionError",
     "RadarConfig", "RetrievalResult", "RmseCurve", "RmsePoint",
-    "SlowTimeCube", "SystemCase", "TargetMotion",
+    "SlowTimeCube", "TargetMotion",
     "azimuth_shift", "blind_speeds", "bracket_fold", "brute_force_oracle",
     "centered_remainder", "classify_case", "config_from_dict", "crt_range",
     "crt_solve", "determinable_size", "doppler_of",
     "estimate_doppler", "fold_per_wavelength", "forward_fold",
-    "forward_fold_grid", "lcm_rational", "load_config", "max_azimuth_shift",
+    "forward_fold_grid", "load_config", "max_azimuth_shift",
     "monte_carlo_rmse", "robust_crt", "search_retrieve", "simulate_echo",
     "size_sweep", "sweep_determinable_size", "unambiguous_range",
     "vsar_estimate_vspace", "__version__",

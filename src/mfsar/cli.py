@@ -12,8 +12,8 @@ any case and warns in case III that it holds only for ``|v_r| < crt_range/2``;
 
 The parser is built on the first :func:`main` call and reused for every
 later one in the same process; :func:`main` finds the subcommand's ``cmd_*``
-function by name when it runs, and ``montecarlo`` reads ``MFSAR_THREADS``
-(worker processes, default 1) only when ``--threads`` is not given.
+function by name when it runs.  ``montecarlo --threads`` (default 1) is the
+one knob for its worker processes; no environment variable sets it.
 
 Exit codes: 0 success, 2 configuration error, 3 no solution, 4 ambiguous
 solution, 5 estimation failure.  Every file written via ``--out`` gets a
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -122,12 +121,12 @@ def _attach_grid(argv):
 # subcommands
 
 def cmd_classify(args, cfg: RadarConfig) -> int:
-    case = classify_case(cfg)
+    case, ratio = classify_case(cfg), cfg.ratio()
     vts, vss = cfg.exact_moduli()
     report = {
-        "case": case.case_id.value,
-        "k": case.k,
-        "p_over_q": None if case.p_over_q is None else str(case.p_over_q),
+        "case": case.value,
+        "k": ratio.numerator if case is CaseId.II else None,
+        "p_over_q": None if case is CaseId.I else str(ratio),
         "v_t": [float(v) for v in vts],
         "v_s": [float(v) for v in vss],
         "unambiguous_range": [list(unambiguous_range(cfg, lam)) for lam in cfg.lambdas],
@@ -137,10 +136,10 @@ def cmd_classify(args, cfg: RadarConfig) -> int:
         _emit(args, json.dumps(report, indent=2), cfg)
         return EXIT_OK
     lines = [f"Case {report['case']}"]
-    if case.k is not None:
-        lines[0] += f", k={case.k}"
-    elif case.p_over_q is not None:
-        lines[0] += f", p/q={case.p_over_q}"
+    if case is CaseId.II:
+        lines[0] += f", k={report['k']}"
+    elif case is CaseId.III:
+        lines[0] += f", p/q={ratio}"
     lines.append("V_T = [" + ", ".join(f"{v:g}" for v in report["v_t"]) + "] m/s")
     lines.append("V_S = [" + ", ".join(f"{v:g}" for v in report["v_s"]) + "] m/s")
     for lam, rng, shift in zip(cfg.lambdas, report["unambiguous_range"],
@@ -209,11 +208,11 @@ def cmd_retrieve(args, cfg: RadarConfig) -> int:
     case = classify_case(cfg)
     method = args.method
     if method == "auto":
-        method = {CaseId.I: "crt", CaseId.II: "crt", CaseId.III: "search"}[case.case_id]
+        method = {CaseId.I: "crt", CaseId.II: "crt", CaseId.III: "search"}[case]
     warnings = []
     if method == "crt":
         result = crt_solve(obs, cfg)
-        if case.case_id is CaseId.III:
+        if case is CaseId.III:
             warnings.append(
                 f"reduced-modulus retrieval is only valid for |v_r| < "
                 f"{crt_range(cfg) / 2.0:g} m/s; a true velocity outside that "
@@ -280,7 +279,12 @@ def cmd_enumerate(args, cfg: RadarConfig) -> int:
     if args.pairs:
         pairs = []
         for chunk in args.pairs.split(";"):
-            lam1, lam2 = (float(x) for x in chunk.split(","))
+            try:
+                lam1, lam2 = (float(x) for x in chunk.split(","))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"--pairs takes lambda1,lambda2 pairs separated by ';', "
+                    f"got {chunk!r}") from exc
             pairs.append((lam1, lam2))
     else:
         pairs = DEFAULT_ENUM_PAIRS
@@ -333,12 +337,9 @@ def cmd_montecarlo(args, cfg: RadarConfig) -> int:
         raise ConfigurationError(
             f"bad xi grid {args.xi_start:g}:{args.xi_stop:g}:{args.xi_step:g}; "
             "need --xi-step > 0 and --xi-start >= --xi-stop")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MFSAR_THREADS", "1"))
     xi_grid = _steps(args.xi_start, args.xi_stop, -args.xi_step, closed=True)
     curve = monte_carlo_rmse(cfg, xi_grid, trials=args.trials, seed=args.seed,
-                             n_workers=threads)
+                             n_workers=args.threads)
     if args.csv:
         _emit(args, curve.to_csv(), cfg, seed=args.seed)
         return EXIT_OK
@@ -423,9 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-stop", type=float, default=0.0)
     p.add_argument("--xi-step", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--threads", type=int,
-                   help="worker processes for the Monte Carlo points "
-                        "(default: MFSAR_THREADS, else 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the Monte Carlo points")
     p.add_argument("--csv", action="store_true")
 
     _parser = parser

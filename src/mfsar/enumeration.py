@@ -3,10 +3,11 @@
 For a multi-wavelength system whose blind-speed ratio is the reduced rational
 p/q, the velocity range over which the vector of space-domain remainders stays
 injective is bounded below by ``lcm(v_s)/q`` and above by ``lcm(v_t)``, but its
-actual value between those bounds is irregular.  This module finds it exactly
-from the system's fold cells over one ``lcm(v_t)`` period (:func:`_fold_table`),
-in integers scaled by twice the moduli's common denominator.  The report keeps
-that table, and :meth:`RadarConfig.fold_cells` cuts the search's cells from it.
+actual value between those bounds is irregular.  :func:`determinable_size`
+scales the moduli once, by twice their common denominator, to integers; the
+bounds and the fold cells of one ``lcm(v_t)`` period (:func:`_fold_table`)
+come from them, and the size exactly from the cells.  The report keeps that
+table, and :meth:`RadarConfig.fold_cells` cuts the search's cells from it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .folding import _split, as_fraction, blind_speeds
 if TYPE_CHECKING:
     from .system import RadarConfig
 
-__all__ = ["EnumerationReport", "lcm_rational", "determinable_size", "size_sweep"]
+__all__ = ["EnumerationReport", "determinable_size", "size_sweep"]
 
 SWEEP_CSV_HEADER = "lambda1,lambda2,vt1,vs1,vt2,vs2,v_lb,size,v_ub"
 
@@ -51,18 +52,6 @@ class EnumerationReport:
     v_ub: Fraction
     collision_pair: tuple
     fold_table: tuple | None = field(default=None, repr=False, compare=False)
-
-
-def lcm_rational(values) -> Fraction:
-    """Least positive rational that is an integer multiple of every input."""
-    vals = [as_fraction(v) for v in values]
-    if not vals:
-        raise ConfigurationError("lcm of an empty list")
-    if any(v <= 0 for v in vals):
-        raise ConfigurationError("lcm inputs must be positive")
-    den = math.lcm(*(v.denominator for v in vals))
-    num = math.lcm(*(v.numerator * (den // v.denominator) for v in vals))
-    return Fraction(num, den)
 
 
 def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
@@ -99,15 +88,19 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
         raise ConfigurationError(f"wavelengths disagree on v_t/v_s: {sorted(ratios)}")
     ratio = ratios.pop()
 
-    v_lb = lcm_rational(vss) / ratio.denominator
-    v_ub = lcm_rational(vts)
+    # In units of 1/scale m/s every modulus is even, so every fold edge, half
+    # offset and v_ub/2 is whole.
+    scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss)))
+    t, s = ([x.numerator * scale // x.denominator for x in xs] for xs in (vts, vss))
+    v_lb = Fraction(math.lcm(*s), scale * ratio.denominator)
+    v_ub = Fraction(math.lcm(*t), scale)
     cells = float(v_ub) * sum(1 / float(vs) + 2 / float(vt) for vt, vs in zip(vts, vss))
     if cells > _MAX_CELLS:
         # E.g. floats of irrational moduli rationalised to huge denominators.
         raise ConfigurationError(
             f"sizing would need {cells:.3g} fold cells; moduli "
             f"{v_t_list}/{v_s_list} are effectively incommensurable")
-    scale, lo, hi, n_t, n_s, t, s = _fold_table(vts, vss)
+    lo, hi, n_t, n_s, t, s = _fold_table(t, s)
     offsets = n_t * t + n_s * s
     diffs = offsets[:, 1:] - offsets[:, :1]
     order = np.lexsort(diffs.T)
@@ -145,21 +138,18 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
                              fold_table=(scale, lo, hi, n_t, n_s))
 
 
-def _fold_table(vts, vss):
-    """Fold cells of ``[-v_ub/2, v_ub/2 + min(v_t))`` in units of ``1/scale`` m/s.
+def _fold_table(t, s):
+    """Fold cells of ``[-lcm(t)/2, lcm(t)/2 + min(t))`` for the scaled integer
+    moduli ``t`` and ``s`` (even, so every edge and half offset is whole).
 
-    Band ``i`` folds ``v`` to ``v - n_t*v_t - n_s*v_s`` with integers constant
-    between fold edges: ``(k+1/2)*v_t``, and ``k*v_t + (j+1/2)*v_s`` inside
-    time cell ``k``.  Returns ``(scale, lo, hi, n_t, n_s, t, s)``: ``scale``
-    is twice the common denominator of the moduli, so every scaled modulus is
-    even and every edge, half offset and ``v_ub/2`` is whole; the cells
+    Band ``i`` folds ``v`` to ``v - n_t*t_i - n_s*s_i`` with integers constant
+    between fold edges: ``(k+1/2)*t_i``, and ``k*t_i + (j+1/2)*s_i`` inside
+    time cell ``k``.  Returns ``(lo, hi, n_t, n_s, t, s)``: the cells
     ``[lo[k], hi[k])`` refine every band's edges; row ``k`` of ``n_t`` and
     ``n_s`` holds each band's integers, the exact fold of ``lo[k]``; ``t``
-    and ``s`` are the scaled moduli.  Scaled values are int64, or Python ints
-    in object arrays where int64 could overflow.
+    and ``s`` are the moduli as arrays.  Values are int64, or Python ints in
+    object arrays where int64 could overflow.
     """
-    scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss)))
-    t, s = ([x.numerator * scale // x.denominator for x in xs] for xs in (vts, vss))
     first = -math.lcm(*t) // 2
     end = -first + min(t)
     # Sizing adds a shift of up to the window's width to a cell end.
@@ -182,7 +172,7 @@ def _fold_table(vts, vss):
     t, s = np.array(t, dtype), np.array(s, dtype)
     n_t = ((lo[:, None] + t // 2) // t).astype(int)
     n_s = ((lo[:, None] - n_t * t + s // 2) // s).astype(int)
-    return scale, lo, hi, n_t, n_s, t, s
+    return lo, hi, n_t, n_s, t, s
 
 
 def size_sweep(cfg: RadarConfig, lambda_pairs) -> list:

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigurationError", "NoSolutionError", "AmbiguousSolutionError",
+           "EstimationFailure"]
+
 
 class ConfigurationError(ValueError):
     """A radar configuration or solver setup is invalid or inconsistent."""

@@ -252,6 +252,8 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     cfg.fold_cells()  # size and compile once here, not in every worker
     jobs = [(cfg, float(xi), i, trials, seed) for i, xi in enumerate(xi_grid)]
     workers = min(n_workers, len(jobs))

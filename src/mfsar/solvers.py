@@ -35,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import lcm_rational
 from .errors import AmbiguousSolutionError, ConfigurationError, NoSolutionError
 from .folding import (ModulusPair, _split, as_fraction, bracket_fold,
                       centered_remainder, forward_fold, forward_fold_grid)
@@ -271,16 +270,16 @@ def _integers_at(v: float, v_space, vts, vss):
 def _reduced_moduli(cfg: RadarConfig):
     """Each band's observed modulus, divided in case III by ``q``, the
     denominator of ``p/q`` (``q = 1`` in case II; case I has no ``q``)."""
-    case = classify_case(cfg)
-    if case.case_id is not CaseId.III:
+    if classify_case(cfg) is not CaseId.III:
         return cfg.observed_moduli()
-    return [m / case.p_over_q.denominator for m in cfg.observed_moduli()]
+    return [m / cfg.ratio().denominator for m in cfg.observed_moduli()]
 
 
 def crt_range(cfg: RadarConfig) -> float:
     """Width ``lcm(observed moduli)/q`` of the interval, centred on zero,
-    where :func:`crt_solve` is valid."""
-    return float(lcm_rational(_reduced_moduli(cfg)))
+    where :func:`crt_solve` is valid.  Like :func:`crt_solve`, raises
+    ConfigurationError unless the reduced moduli are pairwise coprime."""
+    return float(_common_factorisation(_reduced_moduli(cfg))[2])
 
 
 def crt_solve(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
@@ -314,7 +313,7 @@ def crt_solve(obs: FoldedObservation, cfg: RadarConfig) -> RetrievalResult:
         o_t, o_s = next(o for o, miss in zip(options, misses) if miss <= limit)
         n_t.append(o_t[i])
         n_s.append(o_s[i])
-    n_st = inner.integers.n_t if classify_case(cfg).case_id is CaseId.II else None
+    n_st = inner.integers.n_t if classify_case(cfg) is CaseId.II else None
     integers = AmbiguityIntegers(n_t=tuple(n_t), n_s=tuple(n_s), n_st=n_st)
     return RetrievalResult(v_hat=v_hat, integers=integers, method="closed_form_crt",
                            residual=inner.residual)
@@ -347,7 +346,7 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     cells' reconstructions form a bands x cells x wraps array reduced over
     the band axis.
     """
-    case = classify_case(cfg).case_id
+    case = classify_case(cfg)
     if case is not CaseId.III:
         raise ConfigurationError(f"the search requires a case III system, got case {case.value}")
     _check_observation(obs, cfg)

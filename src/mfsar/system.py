@@ -19,9 +19,9 @@ to size is refused by :func:`enumeration.determinable_size`.
 :class:`RadarConfig` is the one place the solvers' system quantities are
 derived, each exactly and at most once per instance:
 
-* at construction -- p/q (:meth:`RadarConfig.ratio`), the case
-  (:func:`classify_case`), the blind speeds ``(v_t, v_s)`` of every
-  wavelength (:meth:`RadarConfig.exact_moduli`) and the modulus that folds
+* at construction -- p/q (:meth:`RadarConfig.ratio`; case II's k is p),
+  the case, a :class:`CaseId` (:func:`classify_case`), the blind speeds of
+  every wavelength (:meth:`RadarConfig.exact_moduli`) and the modulus that folds
   each measured remainder, ``min(v_t, v_s)``: ``v_t`` in case I, ``v_s`` in
   cases II and III (:meth:`RadarConfig.observed_moduli`);
 * on first use, then cached -- the determinable velocity size with its two
@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +51,6 @@ from .folding import ModulusPair, as_fraction, blind_speeds
 
 __all__ = [
     "RadarConfig",
-    "SystemCase",
     "CaseId",
     "TargetMotion",
     "classify_case",
@@ -161,11 +160,11 @@ class RadarConfig:
         vts = tuple(pair.v_t for pair in pairs)
         vss = tuple(pair.v_s for pair in pairs)
         if ratio < 1:
-            case = SystemCase(case_id=CaseId.I)
+            case = CaseId.I
         elif ratio.denominator == 1:
-            case = SystemCase(case_id=CaseId.II, k=int(ratio), p_over_q=ratio)
+            case = CaseId.II
         else:
-            case = SystemCase(case_id=CaseId.III, p_over_q=ratio)
+            case = CaseId.III
         object.__setattr__(self, "_ratio", ratio)
         object.__setattr__(self, "_case", case)
         object.__setattr__(self, "_moduli", (vts, vss))
@@ -219,16 +218,6 @@ class RadarConfig:
 
 
 @dataclass(frozen=True)
-class SystemCase:
-    """Classification result: the case, the DPCA multiple k (case II only) and
-    the reduced ratio p/q (cases II/III)."""
-
-    case_id: CaseId
-    k: int | None = None
-    p_over_q: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class TargetMotion:
     """Constant-velocity target motion.
 
@@ -272,7 +261,7 @@ def load_config(path) -> RadarConfig:
     return config_from_dict(data)
 
 
-def classify_case(cfg: RadarConfig) -> SystemCase:
+def classify_case(cfg: RadarConfig) -> CaseId:
     """Case of the system by its exact blind-speed ratio, classified once at
     construction."""
     return cfg._case
@@ -297,18 +286,11 @@ def max_azimuth_shift(cfg: RadarConfig, lam: float) -> float:
     return lam * cfg.f_p * cfg.r_0 / (4.0 * cfg.v_a)
 
 
-def _determinable_size_at(lam: float, f_p: float, v_a: float, d: float) -> float:
-    # The observed remainder is folded by the smaller blind speed, from the
-    # exact moduli of a swept system that no RadarConfig holds.
-    pair = blind_speeds(*(as_fraction(x) for x in (lam, f_p, v_a, d)))
-    return float(min(pair.v_t, pair.v_s))
-
-
 def sweep_determinable_size(cfg: RadarConfig, lam: float, vary: str, grid) -> list:
     """Single-wavelength determinable-size curve against one swept parameter.
 
-    ``vary`` is one of ``"f_p"``, ``"d"``, ``"v_a"``; returns a list of
-    ``(value, size)`` pairs.
+    ``vary`` is one of ``"f_p"``, ``"d"``, ``"v_a"``; returns ``(value, size)``
+    pairs, the size being the observed modulus of ``cfg`` at ``lam`` alone.
     """
     if vary not in ("f_p", "d", "v_a"):
         raise ConfigurationError(f"vary must be one of f_p, d, v_a; got {vary!r}")
@@ -316,8 +298,7 @@ def sweep_determinable_size(cfg: RadarConfig, lam: float, vary: str, grid) -> li
     for value in grid:
         if not value > 0:
             raise ConfigurationError(f"swept values must be positive, got {value}")
-        params = {"f_p": cfg.f_p, "d": cfg.d, "v_a": cfg.v_a}
-        params[vary] = value
-        out.append((value, _determinable_size_at(lam, **params)))
+        swept = replace(cfg, lambdas=(lam,), **{vary: value})
+        out.append((value, float(swept.observed_moduli()[0])))
     return out
 

@@ -216,10 +216,7 @@ def test_sweep_prints_the_exact_blind_speed(config_path, capsys):
     assert capsys.readouterr().out == "f_p,size\n700.0,18.0\n800.0,18.0\n"
 
 
-def test_threads_reads_the_environment_when_montecarlo_runs(config_path, monkeypatch):
-    # The parser is built by the first call, before the variable is set.
-    assert main(["classify", "--config", config_path]) == EXIT_OK
-    monkeypatch.setenv("MFSAR_THREADS", "2")
+def test_threads_default_to_one_when_montecarlo_runs(config_path, monkeypatch):
     workers = []
 
     def fake_monte_carlo_rmse(cfg, xi_grid, trials, seed, n_workers):
@@ -229,8 +226,28 @@ def test_threads_reads_the_environment_when_montecarlo_runs(config_path, monkeyp
     monkeypatch.setattr(cli, "monte_carlo_rmse", fake_monte_carlo_rmse)
     montecarlo = ["montecarlo", "--config", config_path, "--trials", "1"]
     assert main(montecarlo) == EXIT_OK
-    assert main([*montecarlo, "--threads", "1"]) == EXIT_OK
-    assert workers == [2, 1]
+    assert main([*montecarlo, "--threads", "2"]) == EXIT_OK
+    assert workers == [1, 2]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_refused(config_path, capsys, threads):
+    code = main(["montecarlo", "--config", config_path, "--trials", "1",
+                 "--xi-start", "0.1", "--xi-step", "0.1", f"--threads={threads}"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n_workers must be >= 1, got {threads}" in captured.err
+
+
+@pytest.mark.parametrize("chunk", ["0.05", "0.05,0.06,0.07"])
+def test_enumerate_names_a_malformed_pair(config_path, capsys, chunk):
+    code = main(["enumerate", "--config", config_path, "--pairs", f"0.03,0.04;{chunk}"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("--pairs takes lambda1,lambda2 pairs separated by ';', "
+            f"got {chunk!r}") in captured.err
 
 
 def test_fold_needs_a_velocity_or_a_grid(config_path, capsys):

@@ -7,31 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mfsar import (ConfigurationError, ModulusPair, determinable_size,
-                   forward_fold, lcm_rational, size_sweep)
+                   forward_fold, size_sweep)
 from mfsar.cli import DEFAULT_ENUM_PAIRS
-from mfsar.enumeration import SWEEP_CSV_HEADER, _fold_table, sweep_to_csv
+from mfsar.enumeration import SWEEP_CSV_HEADER, sweep_to_csv
 from conftest import make_config
-
-
-class TestLcmRational:
-    def test_integers(self):
-        assert lcm_rational([20, 24]) == 120
-        assert lcm_rational([15, 18]) == 90
-
-    def test_single_element(self):
-        assert lcm_rational([Fraction(7, 3)]) == Fraction(7, 3)
-
-    def test_fractions(self):
-        # 3/2 and 5/4: multiples are k*3/2 and j*5/4; the least common is 15/2.
-        assert lcm_rational([Fraction(3, 2), Fraction(5, 4)]) == Fraction(15, 2)
-        assert lcm_rational([Fraction(3, 2), Fraction(5, 4)]) % Fraction(3, 2) == 0
-        assert lcm_rational([Fraction(3, 2), Fraction(5, 4)]) % Fraction(5, 4) == 0
-
-    def test_errors(self):
-        with pytest.raises(ConfigurationError):
-            lcm_rational([])
-        with pytest.raises(ConfigurationError):
-            lcm_rational([3, -2])
 
 
 class TestDeterminableSize:
@@ -78,7 +57,7 @@ class TestDeterminableSize:
 
     def test_periodicity_at_upper_bound(self):
         vts, vss = [12, 16], [9, 12]
-        v_ub = lcm_rational(vts)
+        v_ub = math.lcm(*vts)
         for v in (Fraction(0), Fraction(5), Fraction(-7), Fraction(13, 2)):
             for vt, vs in zip(vts, vss):
                 pair = ModulusPair(Fraction(vt), Fraction(vs))
@@ -87,7 +66,7 @@ class TestDeterminableSize:
     def test_degenerate_integer_ratio(self):
         # Ratio 2/1 collapses the cascade; the size equals lcm of space moduli.
         rep = determinable_size([12, 28], [6, 14])
-        assert rep.size == lcm_rational([6, 14]) == 42
+        assert rep.size == math.lcm(6, 14) == 42
         assert rep.v_lb == rep.size
 
     def test_mismatched_ratio_rejected(self):
@@ -178,8 +157,8 @@ class TestVectorisedWalk:
         big = 2**61 - 1
         vts = [Fraction(20), Fraction(24)]
         vss = [v * Fraction(big - 1, big) for v in vts]
-        assert _fold_table(vts, vss)[1].dtype == object
         rep = determinable_size(vts, vss)
+        assert rep.fold_table[1].dtype == object
         assert rep.size == 120
         assert_sound(vts, vss, rep)
 

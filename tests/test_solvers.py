@@ -155,12 +155,20 @@ class TestCrtRange:
     @pytest.mark.parametrize("k", range(2, 12))
     def test_is_the_determinable_size_in_cases_1_and_2(self, d, k):
         cfg = make_config(d=d, lambdas=(round(0.01 * k, 2), round(0.01 * (k + 1), 2)))
-        assert classify_case(cfg).case_id is not CaseId.III
+        assert classify_case(cfg) is not CaseId.III
         assert crt_range(cfg) == cfg.size_report().size
 
     def test_case1_uses_the_time_moduli(self):
         # Ratio 2/3: lcm(v_t) = lcm(12, 16) = 48, not lcm(v_s)/3 = 24.
         assert crt_range(make_config(d=0.2, lambdas=(0.03, 0.04))) == 48
+
+    def test_refuses_moduli_that_are_not_pairwise_coprime(self):
+        # Case I, observed moduli v_t = 16, 24, 36: gammas 4, 6, 9 share factors,
+        # so no lcm bounds a range where the closed form holds.
+        cfg = make_config(d=0.2, lambdas=(0.04, 0.06, 0.09))
+        assert cfg.observed_moduli() == (16, 24, 36)
+        with pytest.raises(ConfigurationError, match="pairwise coprime"):
+            crt_range(cfg)
 
 
 class TestSolveCase1:
@@ -307,7 +315,7 @@ def crt_problems(draw):
     half = crt_range(cfg) / 2 - xi
     truth = draw(st.floats(-half, half, exclude_max=True))
     errors = draw(st.lists(st.floats(-xi, xi), min_size=bands, max_size=bands))
-    case_i = classify_case(cfg).case_id is CaseId.I
+    case_i = classify_case(cfg) is CaseId.I
     obs = tuple((f.v_time if case_i else f.v_space) + e
                 for f, e in zip(fold_per_wavelength(truth, cfg), errors))
     return cfg, truth, FoldedObservation(obs, xi_e=xi), errors, moduli
@@ -321,7 +329,7 @@ def test_crt_solve_recovers_every_case(problem):
     assert abs(res.v_hat - truth) <= max(map(abs, errors)) + 1e-9
     for v in rebuilt(res, obs, cfg):
         assert abs(v - res.v_hat) <= 2 * obs.xi_e + 1e-9
-    if classify_case(cfg).case_id is CaseId.II:
+    if classify_case(cfg) is CaseId.II:
         assert res.integers.n_st == robust_crt(obs.v_space, moduli).integers.n_t
     else:
         assert res.integers.n_st is None

@@ -19,20 +19,19 @@ from conftest import make_config
 
 class TestClassifyCase:
     def test_narrow_spacing_is_case1(self):
-        case = classify_case(make_config(d=0.2))
-        assert case.case_id is CaseId.I
-        assert case.k is None
+        cfg = make_config(d=0.2)
+        assert classify_case(cfg) is CaseId.I
+        assert cfg.ratio() == Fraction(2, 3)
 
     def test_dpca_spacing_is_case2(self):
-        case = classify_case(make_config(d=0.6))
-        assert case.case_id is CaseId.II
-        assert case.k == 2
-        assert case.p_over_q == 2
+        cfg = make_config(d=0.6)
+        assert classify_case(cfg) is CaseId.II
+        assert cfg.ratio() == 2
 
     def test_generic_spacing_is_case3(self):
-        case = classify_case(make_config(d=0.4))
-        assert case.case_id is CaseId.III
-        assert case.p_over_q == Fraction(4, 3)
+        cfg = make_config(d=0.4)
+        assert classify_case(cfg) is CaseId.III
+        assert cfg.ratio() == Fraction(4, 3)
 
     def test_exactly_one_case_holds(self):
         # The three conditions partition every positive configuration.
@@ -40,20 +39,20 @@ class TestClassifyCase:
             case = classify_case(make_config(d=round(float(d), 3)))
             ratio = round(float(d), 3) * 800 / 240
             if ratio < 1:
-                assert case.case_id is CaseId.I
+                assert case is CaseId.I
             elif abs(ratio - round(ratio)) < 1e-9:
-                assert case.case_id is CaseId.II
+                assert case is CaseId.II
             else:
-                assert case.case_id is CaseId.III
+                assert case is CaseId.III
 
     def test_ratio_with_a_large_denominator_is_accepted(self):
         # Any rationalised d, f_p and v_a give an exact ratio; the sizing's
         # own guards bound its work, not the ratio's denominator.
         cfg = make_config(d=0.1234)
-        assert classify_case(cfg).case_id is CaseId.I
+        assert classify_case(cfg) is CaseId.I
         assert cfg.ratio() == Fraction(617, 1500)
         cfg = make_config(d=0.4123)
-        assert classify_case(cfg).p_over_q == Fraction(4123, 3000)
+        assert cfg.ratio() == Fraction(4123, 3000)
         report = cfg.size_report()
         assert report.size == report.v_ub == 120
         assert report.v_lb == Fraction(120, 4123)
@@ -77,7 +76,7 @@ class TestDerivedQuantities:
                                             (0.6, CaseId.II)])
     def test_observed_moduli_follow_the_case(self, d, case_id):
         cfg = make_config(d=d)
-        assert classify_case(cfg).case_id is case_id
+        assert classify_case(cfg) is case_id
         vts, vss = cfg.exact_moduli()
         assert cfg.observed_moduli() == (vts if case_id is CaseId.I else vss)
 
@@ -85,7 +84,7 @@ class TestDerivedQuantities:
         cfg = make_config()
         monkeypatch.setattr(RadarConfig, "ratio", None)
         assert classify_case(cfg) is classify_case(cfg)
-        assert classify_case(cfg).case_id is CaseId.III
+        assert classify_case(cfg) is CaseId.III
         assert "_size_report" not in vars(cfg) and "_fold_cells" not in vars(cfg)
 
     def test_size_report_is_the_enumerated_size(self, reference_config):
@@ -328,7 +327,7 @@ class TestSawtoothComposition:
         out = []
         for v in v_grid:
             fold = forward_fold(v, pair)
-            out.append(fold.v_time if case.case_id is CaseId.I else fold.v_space)
+            out.append(fold.v_time if case is CaseId.I else fold.v_space)
         return out
 
     def test_case1_period_is_time_blind_speed(self):

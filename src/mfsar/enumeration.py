@@ -4,6 +4,7 @@ For a multi-wavelength system whose blind-speed ratio is the reduced rational
 p/q, the velocity range over which the vector of space-domain remainders stays
 injective is bounded below by ``lcm(v_s)/q`` and above by ``lcm(v_t)``, but its
 actual value between those bounds is irregular.  :func:`determinable_size`
+sizes a :class:`RadarConfig` from the exact blind speeds and p/q it holds: it
 scales the moduli once, by twice their common denominator, to integers; the
 bounds and the fold cells of one ``lcm(v_t)`` period (:func:`_fold_table`)
 come from them, and the size exactly from the cells.  The report keeps that
@@ -13,14 +14,14 @@ table, and :meth:`RadarConfig.fold_cells` cuts the search's cells from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .folding import _split, as_fraction, blind_speeds
+from .folding import _split
 
 if TYPE_CHECKING:
     from .system import RadarConfig
@@ -54,11 +55,11 @@ class EnumerationReport:
     fold_table: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
+def determinable_size(cfg: RadarConfig) -> EnumerationReport:
     """Exact determinable velocity size of a multi-wavelength system.
 
-    ``v_t_list`` and ``v_s_list`` hold positive rationals, one pair per
-    wavelength, sharing one exact reduced ratio p/q.
+    ``cfg`` holds at least two wavelengths; its exact blind speeds and p/q
+    are read from :meth:`RadarConfig.exact_moduli` and :meth:`RadarConfig.ratio`.
 
     The size is ``2 * min max(|v|, |w|)`` over colliding pairs ``v != w``
     (equal remainder vectors).  Band ``i`` folds ``v`` to ``v - c_i``, with
@@ -72,34 +73,21 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
     it).  ``lcm(v_t)`` is a period, so the cells from ``-v_ub/2`` past
     ``+v_ub/2`` hold a least pair.
     """
-    if len(v_t_list) != len(v_s_list) or len(v_t_list) < 2:
-        raise ConfigurationError("need matching v_t/v_s lists with at least two wavelengths")
-    if any(v <= 0 for v in [*v_t_list, *v_s_list]):
-        raise ConfigurationError("blind speeds must be positive")
-    # Compare the ratios before rationalising, so a mismatch is reported as
-    # such even when a modulus is itself not rationalisable.
-    approx = [float(vt) / float(vs) for vt, vs in zip(v_t_list, v_s_list)]
-    if max(approx) - min(approx) > 1e-9 * max(approx):
-        raise ConfigurationError(f"wavelengths disagree on v_t/v_s: {approx}")
-    vts = [as_fraction(v) for v in v_t_list]
-    vss = [as_fraction(v) for v in v_s_list]
-    ratios = {vt / vs for vt, vs in zip(vts, vss)}
-    if len(ratios) != 1:
-        raise ConfigurationError(f"wavelengths disagree on v_t/v_s: {sorted(ratios)}")
-    ratio = ratios.pop()
-
+    vts, vss = cfg.exact_moduli()
+    if len(vts) < 2:
+        raise ConfigurationError("sizing needs at least two wavelengths")
     # In units of 1/scale m/s every modulus is even, so every fold edge, half
     # offset and v_ub/2 is whole.
     scale = 2 * math.lcm(*(x.denominator for x in (*vts, *vss)))
     t, s = ([x.numerator * scale // x.denominator for x in xs] for xs in (vts, vss))
-    v_lb = Fraction(math.lcm(*s), scale * ratio.denominator)
+    v_lb = Fraction(math.lcm(*s), scale * cfg.ratio().denominator)
     v_ub = Fraction(math.lcm(*t), scale)
     cells = float(v_ub) * sum(1 / float(vs) + 2 / float(vt) for vt, vs in zip(vts, vss))
     if cells > _MAX_CELLS:
-        # E.g. floats of irrational moduli rationalised to huge denominators.
+        # E.g. nearly equal decimal moduli, whose lcm is huge.
         raise ConfigurationError(
             f"sizing would need {cells:.3g} fold cells; moduli "
-            f"{v_t_list}/{v_s_list} are effectively incommensurable")
+            f"{vts}/{vss} are effectively incommensurable")
     lo, hi, n_t, n_s, t, s = _fold_table(t, s)
     offsets = n_t * t + n_s * s
     diffs = offsets[:, 1:] - offsets[:, :1]
@@ -119,7 +107,7 @@ def determinable_size(v_t_list, v_s_list) -> EnumerationReport:
         if pairs > _MAX_PAIRS:
             raise ConfigurationError(
                 f"sizing would compare over {_MAX_PAIRS} pairs of fold cells; "
-                f"blind-speed ratio {ratio} of moduli {v_t_list}/{v_s_list} is too large")
+                f"blind-speed ratio {cfg.ratio()} of moduli {vts}/{vss} is too large")
         k.append(order[at])
         l.append(order[at + gap])
     k, l = np.concatenate(k), np.concatenate(l)
@@ -176,19 +164,16 @@ def _fold_table(t, s):
 
 
 def size_sweep(cfg: RadarConfig, lambda_pairs) -> list:
-    """Determinable size for a list of wavelength pairs of one system.
+    """Determinable size of ``cfg`` with each of a list of wavelength pairs.
 
-    Returns one row per pair:
+    Returns one row per pair, the pair's wavelengths in the caller's order:
     ``(lambda_pair, v_t1, v_s1, v_t2, v_s2, report)``.
     """
-    f_p = as_fraction(cfg.f_p)
-    v_a = as_fraction(cfg.v_a)
-    d = as_fraction(cfg.d)
     rows = []
     for lam1, lam2 in lambda_pairs:
-        p1, p2 = (blind_speeds(as_fraction(lam), f_p, v_a, d) for lam in (lam1, lam2))
-        report = determinable_size([p1.v_t, p2.v_t], [p1.v_s, p2.v_s])
-        rows.append(((lam1, lam2), p1.v_t, p1.v_s, p2.v_t, p2.v_s, report))
+        system = replace(cfg, lambdas=sorted((lam1, lam2)))
+        bands = dict(zip(system.lambdas, zip(*system.exact_moduli())))
+        rows.append(((lam1, lam2), *bands[lam1], *bands[lam2], determinable_size(system)))
     return rows
 
 

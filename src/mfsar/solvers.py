@@ -446,9 +446,12 @@ def brute_force_oracle(obs: FoldedObservation, cfg: RadarConfig,
     candidate together with its score (as ``residual``); it never raises for
     unsolvable inputs, which makes it a safe comparison baseline.  Its
     integers are the fold of the best candidate plus each observation's wrap.
+    The scan covers ``[-v_range/2, v_range/2)`` (default: the determinable
+    range) in steps of ``step``; both must be positive finite numbers.
     """
-    if not step > 0:
-        raise ConfigurationError(f"step must be positive, got {step}")
+    for name, value in (("v_range", v_range), ("step", step)):
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be a positive finite number, got {value}")
     _check_observation(obs, cfg)
     if v_range is None:
         v_range = float(cfg.size_report().size)

@@ -13,11 +13,11 @@ speeds ``v_t/v_s = d*f_p/(2*v_a)``:
 
 The ratio is exact: ``d``, ``f_p``, ``v_a`` and every wavelength are
 rationalised once, at construction, by the verified rule the solvers use
-(:func:`folding.as_fraction`, denominators up to 10**6); a system too large
-to size is refused by :func:`enumeration.determinable_size`.
-
-:class:`RadarConfig` is the one place the solvers' system quantities are
-derived, each exactly and at most once per instance:
+(:func:`folding.as_fraction`, denominators up to 10**6).  Only
+:class:`RadarConfig` turns numbers into system quantities, and checks them:
+every sizing reads a config, and a system too large to size is refused by
+:func:`enumeration.determinable_size`.  Each quantity is derived exactly
+and at most once per instance:
 
 * at construction -- p/q (:meth:`RadarConfig.ratio`; case II's k is p),
   the case, a :class:`CaseId` (:func:`classify_case`), the blind speeds of
@@ -98,17 +98,19 @@ class FoldCells:
     v_ub: float
 
 
-def _fold_cells(vts, vss, report: enumeration.EnumerationReport) -> FoldCells:
-    """Fold cells over ``[-size/2, size/2)``, cut from the period table the
-    sizing kept (``report.fold_table``) and compiled to floats."""
+def _fold_cells(cfg: RadarConfig) -> FoldCells:
+    """Fold cells of ``cfg`` over ``[-size/2, size/2)``, cut from the period
+    table its sizing kept (``report.fold_table``) and compiled to floats."""
+    report = cfg.size_report()
     scale, lo, hi, n_t, n_s = report.fold_table
     # size/2 is the magnitude of a collision velocity, whole in table units.
     half = int(report.size * scale / 2)
     rows = slice(np.searchsorted(hi, -half, "right"), np.searchsorted(lo, half))
     lo, hi = (np.clip(x[rows], -half, half).astype(float) / float(scale) for x in (lo, hi))
     n_t, n_s = n_t[rows], n_s[rows]
-    offsets = n_t * np.array([float(v) for v in vts]) + n_s * np.array([float(v) for v in vss])
-    moduli = np.array([float(min(vt, vs)) for vt, vs in zip(vts, vss)])
+    vts, vss = (np.array(xs, dtype=float) for xs in cfg.exact_moduli())
+    offsets = n_t * vts + n_s * vss
+    moduli = np.array(cfg.observed_moduli(), dtype=float)
     wraps = np.indices((3,) * len(moduli)).reshape(len(moduli), -1) - 1
     return FoldCells(lo=lo, hi=hi, n_t=n_t, n_s=n_s,
                      by_band=np.ascontiguousarray(offsets.T), widths=hi - lo,
@@ -192,7 +194,7 @@ class RadarConfig:
         """
         report = self.__dict__.get("_size_report")
         if report is None:
-            report = enumeration.determinable_size(*self._moduli)
+            report = enumeration.determinable_size(self)
             object.__setattr__(self, "_size_report", report)
         return report
 
@@ -201,7 +203,7 @@ class RadarConfig:
         cached on the instance like :meth:`size_report`."""
         cells = self.__dict__.get("_fold_cells")
         if cells is None:
-            cells = _fold_cells(*self._moduli, self.size_report())
+            cells = _fold_cells(self)
             object.__setattr__(self, "_fold_cells", cells)
         return cells
 
@@ -210,11 +212,8 @@ class RadarConfig:
         return blind_speeds(lam, self.f_p, self.v_a, self.d)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d, "v_a": self.v_a, "f_p": self.f_p, "r_0": self.r_0,
-            "m_ch": self.m_ch, "lambdas": list(self.lambdas), "t_s": self.t_s,
-            "b_w": self.b_w, "t_pulse": self.t_pulse, "f_s": self.f_s,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(data, lambdas=list(self.lambdas))
 
 
 @dataclass(frozen=True)
@@ -290,14 +289,13 @@ def sweep_determinable_size(cfg: RadarConfig, lam: float, vary: str, grid) -> li
     """Single-wavelength determinable-size curve against one swept parameter.
 
     ``vary`` is one of ``"f_p"``, ``"d"``, ``"v_a"``; returns ``(value, size)``
-    pairs, the size being the observed modulus of ``cfg`` at ``lam`` alone.
+    pairs, the size being the observed modulus of ``cfg`` at ``lam`` alone
+    with that value, whose config checks it.
     """
     if vary not in ("f_p", "d", "v_a"):
         raise ConfigurationError(f"vary must be one of f_p, d, v_a; got {vary!r}")
     out = []
     for value in grid:
-        if not value > 0:
-            raise ConfigurationError(f"swept values must be positive, got {value}")
         swept = replace(cfg, lambdas=(lam,), **{vary: value})
         out.append((value, float(swept.observed_moduli()[0])))
     return out

@@ -173,7 +173,7 @@ def test_grid_below_zero_may_follow_a_space(config_path, capsys):
     assert capsys.readouterr().out == attached
     assert main(["sweep", "--config", config_path, "--vary", "d",
                  "--grid", "-0.4:0.5:0.1"]) == EXIT_CONFIG
-    assert "swept values must be positive" in capsys.readouterr().err
+    assert "d must be positive, got -0.4" in capsys.readouterr().err
 
 
 def test_grids_take_whole_steps_before_their_end(config_path, capsys):
@@ -248,6 +248,20 @@ def test_enumerate_names_a_malformed_pair(config_path, capsys, chunk):
     assert captured.out == ""
     assert ("--pairs takes lambda1,lambda2 pairs separated by ';', "
             f"got {chunk!r}") in captured.err
+
+
+def test_enumerate_keeps_the_order_of_a_pair(config_path, capsys):
+    code = main(["enumerate", "--config", config_path, "--pairs", "0.06,0.05", "--csv"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "0.06,0.05,24,18,20,15,30,120,120"
+
+
+def test_enumerate_refuses_a_pair_of_one_wavelength(config_path, capsys):
+    code = main(["enumerate", "--config", config_path, "--pairs", "0.05,0.05"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "strictly increasing" in captured.err
 
 
 def test_fold_needs_a_velocity_or_a_grid(config_path, capsys):

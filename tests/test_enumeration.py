@@ -13,27 +13,36 @@ from mfsar.enumeration import SWEEP_CSV_HEADER, sweep_to_csv
 from conftest import make_config
 
 
+def size_of(vts, vss):
+    """Determinable size of the moduli ``v_t``, ``v_s`` (one ratio), through
+    the config that has them as its blind speeds: f_p 2, v_a 1,
+    d = v_t/v_s and each wavelength its v_t."""
+    vts, vss = zip(*sorted(zip(vts, vss)))
+    return determinable_size(make_config(f_p=2, v_a=1, d=Fraction(vts[0]) / Fraction(vss[0]),
+                                         lambdas=vts))
+
+
 class TestDeterminableSize:
     def test_reference_band_pair(self):
-        rep = determinable_size([20, 24], [15, 18])
+        rep = size_of([20, 24], [15, 18])
         assert (rep.size, rep.v_lb, rep.v_ub) == (120, 30, 120)
 
     def test_size_can_hit_lower_bound(self):
-        rep = determinable_size([12, 16], [9, 12])
+        rep = size_of([12, 16], [9, 12])
         assert (rep.size, rep.v_lb, rep.v_ub) == (12, 12, 48)
 
     def test_size_can_sit_between_bounds(self):
-        rep = determinable_size([28, 32], [21, 24])
+        rep = size_of([28, 32], [21, 24])
         assert (rep.size, rep.v_lb, rep.v_ub) == (80, 56, 224)
 
     def test_sandwich_bounds(self):
         for vts, vss in [([8, 12], [6, 9]), ([16, 20], [12, 15]),
                          ([36, 40], [27, 30]), ([44, 48], [33, 36])]:
-            rep = determinable_size(vts, vss)
+            rep = size_of(vts, vss)
             assert rep.v_lb <= rep.size <= rep.v_ub
 
     def test_collision_soundness(self):
-        rep = determinable_size([20, 24], [15, 18])
+        rep = size_of([20, 24], [15, 18])
         earlier, later = rep.collision_pair
 
         def residues(v):
@@ -46,7 +55,7 @@ class TestDeterminableSize:
         assert abs(later - earlier) >= rep.size or abs(later) == rep.size / 2
 
     def test_uniqueness_inside(self):
-        rep = determinable_size([12, 16], [9, 12])
+        rep = size_of([12, 16], [9, 12])
         half = int(rep.size) // 2
         seen = {}
         for v in range(-half + 1, half):
@@ -65,27 +74,19 @@ class TestDeterminableSize:
 
     def test_degenerate_integer_ratio(self):
         # Ratio 2/1 collapses the cascade; the size equals lcm of space moduli.
-        rep = determinable_size([12, 28], [6, 14])
+        rep = size_of([12, 28], [6, 14])
         assert rep.size == math.lcm(6, 14) == 42
         assert rep.v_lb == rep.size
 
-    def test_mismatched_ratio_rejected(self):
-        with pytest.raises(ConfigurationError, match="disagree"):
-            determinable_size([20, 24], [15, 16])
-
     def test_irrational_modulus_rejected(self):
-        # sqrt(2)-scaled moduli rationalise to huge denominators; the walk
-        # budget guard refuses rather than enumerating millions of steps.
+        # A sqrt(2)-scaled wavelength is no ratio of integers with
+        # denominator <= 10**6: its config is refused when it is built.
         with pytest.raises(ConfigurationError, match="incommensurable"):
-            determinable_size([20 * math.sqrt(2), 24], [15 * math.sqrt(2), 18])
-
-    def test_irrational_ratio_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError, match="disagree"):
-            determinable_size([20 * math.sqrt(2), 24], [15, 18])
+            size_of([20 * math.sqrt(2), 24], [15 * math.sqrt(2), 18])
 
     def test_single_wavelength_rejected(self):
-        with pytest.raises(ConfigurationError):
-            determinable_size([20], [15])
+        with pytest.raises(ConfigurationError, match="at least two wavelengths"):
+            size_of([20], [15])
 
 
 def _dict_walk(vts, vss):
@@ -138,7 +139,7 @@ class TestVectorisedWalk:
     a time, with a sound collision pair."""
 
     def assert_same_size(self, vts, vss):
-        rep = determinable_size(vts, vss)
+        rep = size_of(vts, vss)
         assert rep.size == _dict_walk(vts, vss)[0]
         assert_sound(vts, vss, rep)
 
@@ -157,35 +158,37 @@ class TestVectorisedWalk:
         big = 2**61 - 1
         vts = [Fraction(20), Fraction(24)]
         vss = [v * Fraction(big - 1, big) for v in vts]
-        rep = determinable_size(vts, vss)
+        rep = size_of(vts, vss)
         assert rep.fold_table[1].dtype == object
         assert rep.size == 120
         assert_sound(vts, vss, rep)
 
-    @pytest.mark.parametrize("vts, vss, size", [
-        # d 0.3, f_p 500, v_a 120, lambda 0.05/0.06: the 1 m/s walk repeated
-        # at 76 > v_ub 75.
-        pytest.param([12.5, 15.0], [20.0, 24.0], Fraction(75), id="odd-v_ub"),
-        # d 0.3, f_p 333, v_a 120, lambda 0.011/0.06: moduli off the 1 m/s
-        # lattice, where the walk found no repeat within its cap.
-        pytest.param([1.8315, 9.99], [4.4, 24.0], Fraction(10989, 100), id="rational-moduli"),
+    @pytest.mark.parametrize("params, size", [
+        # v_t 12.5/15 and v_s 20/24: the 1 m/s walk repeated at 76 > v_ub 75.
+        pytest.param(dict(d=0.3, f_p=500, v_a=120, lambdas=(0.05, 0.06)), Fraction(75),
+                     id="odd-v_ub"),
+        # v_t 1.8315/9.99 and v_s 4.4/24, off the 1 m/s lattice, where the walk
+        # found no repeat within its cap.
+        pytest.param(dict(d=0.3, f_p=333, v_a=120, lambdas=(0.011, 0.06)),
+                     Fraction(10989, 100), id="rational-moduli"),
     ])
-    def test_walk_refusals_are_sized_exactly(self, vts, vss, size):
-        rep = determinable_size(vts, vss)
+    def test_walk_refusals_are_sized_exactly(self, params, size):
+        cfg = make_config(**params)
+        rep = determinable_size(cfg)
         assert rep.size == size
-        assert_sound(*([Fraction(repr(v)) for v in xs] for xs in (vts, vss)), rep)
+        assert_sound(*cfg.exact_moduli(), rep)
 
     def test_too_many_pairs_rejected(self):
         # Case II with v_t = 1000*v_s: over the 2000 m/s period the largest
         # group holds some 1500 cells, and their pairs pass the bound.
         with pytest.raises(ConfigurationError, match="pairs of fold cells.*too large"):
-            determinable_size([1000, 2000], [1, 2])
+            size_of([1000, 2000], [1, 2])
 
     def test_table_too_large_rejected(self):
         # lcm(20.000001, 24.000001) is about 4.8e8 m/s, some 10**8 fold cells.
         vts = [Fraction(20_000_001, 10**6), Fraction(24_000_001, 10**6)]
         with pytest.raises(ConfigurationError, match="fold cells.*incommensurable"):
-            determinable_size(vts, [v * 3 / 4 for v in vts])
+            size_of(vts, [v * 3 / 4 for v in vts])
 
 
 class TestSizeSweep:

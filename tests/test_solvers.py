@@ -520,6 +520,16 @@ class TestBruteForceOracle:
         assert res.v_hat == pytest.approx(truth, abs=0.005)
         assert res.residual < 0.005
 
+    @pytest.mark.parametrize("kwargs", [
+        {"v_range": -5.0}, {"v_range": 0.0}, {"v_range": np.nan}, {"v_range": np.inf},
+        {"step": 0.0}, {"step": -0.01}, {"step": np.nan}, {"step": np.inf},
+    ])
+    def test_range_and_step_must_be_positive_and_finite(self, reference_config, kwargs):
+        # Before the check, numpy failed on an empty or unbounded grid, and
+        # step inf answered 23.5 after one golden-section pass.
+        with pytest.raises(ConfigurationError, match="must be a positive finite number"):
+            brute_force_oracle(FoldedObservation((1.0, 2.0)), reference_config, **kwargs)
+
     def test_zero(self, reference_config):
         res = brute_force_oracle(FoldedObservation((0.0, 0.0)), reference_config)
         assert res.v_hat == pytest.approx(0.0, abs=1e-6)

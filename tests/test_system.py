@@ -88,8 +88,7 @@ class TestDerivedQuantities:
         assert "_size_report" not in vars(cfg) and "_fold_cells" not in vars(cfg)
 
     def test_size_report_is_the_enumerated_size(self, reference_config):
-        assert reference_config.size_report() == determinable_size(
-            *reference_config.exact_moduli())
+        assert reference_config.size_report() == determinable_size(reference_config)
         assert reference_config.size_report().size == 120
 
     def test_enumeration_runs_once_per_config(self, monkeypatch):
@@ -349,7 +348,7 @@ class TestSawtoothComposition:
 
     def test_case3_period_is_enumerated_size(self):
         cfg = make_config()
-        report = determinable_size([20, 24], [15, 18])
+        report = determinable_size(cfg)
         period = int(report.size)
         for lam in (Fraction(1, 20), Fraction(3, 50)):
             grid = [Fraction(k, 2) for k in range(-60, 60)]

@@ -14,7 +14,6 @@ validates folding and interferometry, not image formation.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +257,7 @@ def monte_carlo_rmse(cfg: RadarConfig, xi_grid, trials: int, seed: int,
     jobs = [(cfg, float(xi), i, trials, seed) for i, xi in enumerate(xi_grid)]
     workers = min(n_workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # on use: multiprocessing adds 1.4 MB
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_mc_point, *zip(*jobs)))
     else:

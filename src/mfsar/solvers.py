@@ -342,9 +342,9 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     positive finite number.
 
     The kernel runs band-major on what :meth:`RadarConfig.fold_cells`
-    compiled: each band's offsets are one contiguous row, and the kept
-    cells' reconstructions form a bands x cells x wraps array reduced over
-    the band axis.
+    compiled, the lower bound on its ``slack``: the kept cells'
+    reconstructions form a bands x cells x wraps array reduced over the band
+    axis, and the few consistent intervals are swept in plain Python.
     """
     case = classify_case(cfg)
     if case is not CaseId.III:
@@ -353,35 +353,37 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     if len(cfg.lambdas) < 2:
         raise ConfigurationError("the search needs at least two wavelengths")
     cells, rows = cfg.fold_cells(), slice(None)
-    lo, hi, widths = cells.lo, cells.hi, cells.widths
+    lo, hi, slack = cells.lo, cells.hi, cells.slack
     if v_range is not None:
         if not 0 < v_range < math.inf:
             raise ConfigurationError(f"v_range must be a positive finite number, got {v_range}")
         if v_range > cfg.size_report().size:
             raise ConfigurationError(
                 f"v_range {v_range} exceeds the determinable size {cfg.size_report().size}")
-        rows = np.flatnonzero((hi > -v_range / 2) & (lo < v_range / 2))
+        rows = ((hi > -v_range / 2) & (lo < v_range / 2)).nonzero()[0]
         lo, hi = np.maximum(lo[rows], -v_range / 2), np.minimum(hi[rows], v_range / 2)
-        widths = hi - lo
+        slack = cells.moduli[:, None] - (hi - lo)
     # Band-major: row i holds band i's reconstructions r_i + c_i, one per cell.
-    base = cells.by_band[:, rows] + np.reshape(obs.v_space, (-1, 1))
+    base = cells.by_band[:, rows] + np.array(obs.v_space)[:, None]
 
     # Lower bound per cell: the largest circular distance from a band's
     # observation to that band's remainders on the cell (negative inside).
     # Score the cells it cannot exclude; when the best score found exceeds
     # the limit they were kept by, widen the limit to it once.
     outside = np.maximum(lo - base, base - hi)
-    lower = np.minimum(outside, cells.moduli[:, None] - widths - outside).max(axis=0)
+    lower = np.minimum(outside, slack - outside).max(axis=0)
     limit = max(lower.min(), obs.xi_e) + TIE_TOLERANCE
     while True:
-        keep = np.flatnonzero(lower <= limit)
+        keep = (lower <= limit).nonzero()[0]
         # One wrap either way reaches every reconstruction: an observation
         # lies within xi_e (< v_s/2) of its half-open interval.
         points = base[:, keep, None] + cells.wrap_shifts[:, None, :]  # bands x cells x wraps
         low, high = points.min(axis=0), points.max(axis=0)
-        v = np.minimum(np.maximum((low + high) / 2, lo[keep, None]), hi[keep, None])
+        lo_k, hi_k = lo[keep, None], hi[keep, None]
+        v = np.minimum(np.maximum((low + high) / 2, lo_k), hi_k)
         score = np.maximum(v - low, high - v)
-        best = score.min()
+        at = int(score.argmin())
+        best = score.item(at)
         if best + TIE_TOLERANCE <= limit:
             break
         limit = best + TIE_TOLERANCE
@@ -390,26 +392,26 @@ def search_retrieve(obs: FoldedObservation, cfg: RadarConfig,
     # [high - bound, low + bound] of the cell.  Its span on the circle is v_ub
     # less the widest gap; one interval spans up to 2*max(xi_e, TIE_TOLERANCE).
     bound = max(best + TIE_TOLERANCE, obs.xi_e)
-    cell, wrap = np.nonzero(score <= bound)
-    starts = np.maximum(lo[keep][cell], high[cell, wrap] - bound)
-    ends = np.minimum(hi[keep][cell], low[cell, wrap] + bound)
-    order = np.argsort(starts)
-    starts, ends = starts[order], ends[order]
-    reach = np.maximum.accumulate(ends)
-    gaps = np.append(starts[1:] - reach[:-1], starts[0] + cells.v_ub - reach[-1])
-    if cells.v_ub - gaps.max() > 2 * max(obs.xi_e, TIE_TOLERANCE) + TIE_TOLERANCE:
-        parts = np.split(order, np.flatnonzero(gaps[:-1] > TIE_TOLERANCE) + 1)
-        distinct = [float(v[cell[p], wrap[p]][np.argmin(score[cell[p], wrap[p]])])
-                    for p in parts]
+    consistent = score <= bound
+    starts = np.maximum(lo_k, high - bound)[consistent].tolist()
+    ends = np.minimum(hi_k, low + bound)[consistent].tolist()
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    reach = list(itertools.accumulate([ends[i] for i in order], max))
+    gaps = [starts[i] - r for i, r in zip(order[1:], reach)]
+    gaps.append(starts[order[0]] + cells.v_ub - reach[-1])
+    if cells.v_ub - max(gaps) > 2 * max(obs.xi_e, TIE_TOLERANCE) + TIE_TOLERANCE:
+        cuts = [j + 1 for j, gap in enumerate(gaps[:-1]) if gap > TIE_TOLERANCE]
+        parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, None])]
+        scores, vs = score[consistent].tolist(), v[consistent].tolist()
+        distinct = [vs[min(p, key=scores.__getitem__)] for p in parts]
         raise AmbiguousSolutionError(
             f"{len(distinct)} distinct velocities fit the observations within "
             f"{bound:.6g}: {[round(x, 6) for x in distinct]}", candidates=distinct)
-    k, w = np.unravel_index(np.argmin(score), score.shape)
-    integers = AmbiguityIntegers(
-        n_t=tuple(int(x) for x in cells.n_t[rows][keep[k]]),
-        n_s=tuple(int(x) for x in cells.n_s[rows][keep[k]] + cells.wraps[:, w]))
-    return RetrievalResult(v_hat=float(v[k, w]), integers=integers, method="search",
-                           residual=float(best))
+    k, w = divmod(at, score.shape[1])
+    row = keep[k] if v_range is None else rows[keep[k]]
+    integers = AmbiguityIntegers(n_t=tuple(cells.n_t[row].tolist()),
+                                 n_s=tuple((cells.n_s[row] + cells.wraps[:, w]).tolist()))
+    return RetrievalResult(v_hat=v.item(at), integers=integers, method="search", residual=best)
 
 
 # ---------------------------------------------------------------------------

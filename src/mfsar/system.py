@@ -29,9 +29,9 @@ and at most once per instance:
   cells of one ``lcm(v_t)`` period by :func:`enumeration.determinable_size`,
   and the fold cells of the determinable range, cut from that period's table
   (:meth:`RadarConfig.fold_cells`).  They also hold everything the case III
-  search reads on every call, compiled once: the offsets band-major, the cell
-  widths, the observed moduli as floats, the wrap table with its shifts and
-  ``v_ub = lcm(v_t)`` as a float.
+  search reads on every call, compiled once: the offsets band-major, each
+  band's slack ``m_i - (hi - lo)`` per cell, the observed moduli as floats,
+  the wrap table with its shifts and ``v_ub = lcm(v_t)`` as a float.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class FoldCells:
 
     The rest is what the case III search reads on every call, compiled here
     once: ``by_band``, the offsets ``c_i`` band-major (a row per band);
-    ``widths = hi - lo``; ``moduli``, each band's observed modulus ``m_i`` as
-    a float; ``wraps``, every choice of one wrap in {-1, 0, 1} per band (a
-    column per choice) with its shifts ``wrap_shifts = wraps*m``; and
-    ``v_ub = lcm(v_t)`` as a float.
+    ``slack = moduli[:, None] - (hi - lo)``; ``moduli``, each band's observed
+    modulus ``m_i`` as a float; ``wraps``, every choice of one wrap in
+    {-1, 0, 1} per band (a column per choice) with its shifts
+    ``wrap_shifts = wraps*m``; and ``v_ub = lcm(v_t)`` as a float.
     """
 
     lo: np.ndarray
@@ -91,7 +91,7 @@ class FoldCells:
     n_t: np.ndarray
     n_s: np.ndarray
     by_band: np.ndarray
-    widths: np.ndarray
+    slack: np.ndarray
     moduli: np.ndarray
     wraps: np.ndarray
     wrap_shifts: np.ndarray
@@ -112,10 +112,9 @@ def _fold_cells(cfg: RadarConfig) -> FoldCells:
     offsets = n_t * vts + n_s * vss
     moduli = np.array(cfg.observed_moduli(), dtype=float)
     wraps = np.indices((3,) * len(moduli)).reshape(len(moduli), -1) - 1
-    return FoldCells(lo=lo, hi=hi, n_t=n_t, n_s=n_s,
-                     by_band=np.ascontiguousarray(offsets.T), widths=hi - lo,
-                     moduli=moduli, wraps=wraps, wrap_shifts=wraps * moduli[:, None],
-                     v_ub=float(report.v_ub))
+    return FoldCells(lo=lo, hi=hi, n_t=n_t, n_s=n_s, by_band=np.ascontiguousarray(offsets.T),
+                     slack=moduli[:, None] - (hi - lo), moduli=moduli, wraps=wraps,
+                     wrap_shifts=wraps * moduli[:, None], v_ub=float(report.v_ub))
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,9 @@ class RadarConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        for name in ("d", "v_a", "f_p", "r_0", "t_s", "b_w", "t_pulse", "f_s"):
-            value = getattr(self, name)
+        scalars = [(name, getattr(self, name))
+                   for name in ("d", "v_a", "f_p", "r_0", "t_s", "b_w", "t_pulse", "f_s")]
+        for name, value in scalars + [("wavelength", lam) for lam in self.lambdas]:
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} is not finite, got {value}")
             if not value > 0:
@@ -149,8 +149,6 @@ class RadarConfig:
             raise ConfigurationError(f"m_ch must be a whole number >= 2, got {self.m_ch}")
         if not self.lambdas:
             raise ConfigurationError("lambdas must be nonempty")
-        if any(not lam > 0 for lam in self.lambdas):
-            raise ConfigurationError("wavelengths must be positive")
         if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ConfigurationError("wavelengths must be strictly increasing")
         # Rationalise once and fail loudly here, not inside a solver: every

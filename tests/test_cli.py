@@ -201,6 +201,8 @@ def test_grids_take_whole_steps_before_their_end(config_path, capsys):
     ["montecarlo", "--trials", "1", "--xi-start", "inf"],
     ["montecarlo", "--trials", "1", "--xi-stop=-inf"],
     ["montecarlo", "--trials", "1", "--xi-step", "nan"],
+    ["enumerate", "--pairs", "nan,0.05"],
+    ["enumerate", "--pairs", "0.05,inf"],
 ])
 def test_non_finite_numbers_are_refused(config_path, capsys, argv):
     assert main([argv[0], "--config", config_path, *argv[1:]]) == EXIT_CONFIG

@@ -1,5 +1,7 @@
 """Slow-time simulator, estimators and the Monte Carlo harness."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ def test_monte_carlo_starts_at_most_one_worker_per_point(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     cfg = make_config()
     serial = monte_carlo_rmse(cfg, [0.1, 0.2], trials=3, seed=3)
     assert monte_carlo_rmse(cfg, [0.1, 0.2], trials=3, seed=3, n_workers=100_000) == serial

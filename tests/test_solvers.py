@@ -491,6 +491,32 @@ class TestSearchRetrieve:
             assert search_retrieve(obs, cfg, v_range) == wide
         assert answered >= 50
 
+    # Seeded inputs and the search's answers, to the last bit: a change to
+    # the kernel that moves any answer, however little, fails here rather
+    # than within a tolerance.
+    @pytest.mark.parametrize("lambdas, v_space, xi_e, v_range, answer", [
+        ((0.05, 0.06), (5.530629356474644, 8.400229485090959), 0.1, None,
+         (-9.534570579217199, 0.06519993569184379, (0, 0), (-1, -1))),
+        ((0.05, 0.06), (-6.276390220602103, -8.321797104253257), 0.1, None,
+         (33.70090633757232, 0.02270344182557693, (2, 1), (0, 1))),
+        ((0.05, 0.06, 0.07), (-5.1806122108103825, 7.721076882026918, -7.28428879263122),
+         0.1, None, (349.7675494982792, 0.0518382909104389, (17, 15, 12), (1, -1, 1))),
+        ((0.05, 0.06, 0.07), (6.223592476670519, -0.722033788244192, 7.103984818388519),
+         0.1, 300.0, (-48.80902448492783, 0.08699069668364956, (-2, -2, -2), (-1, 0, 0))),
+        ((0.07, 0.08), (-10.126792949926159, 10.858114839559867), 0.2, None,
+         (10.865660944816854, 0.007546105256986735, (0, 0), (1, 0))),
+    ])
+    def test_answers_are_pinned(self, lambdas, v_space, xi_e, v_range, answer):
+        res = search_retrieve(FoldedObservation(v_space, xi_e=xi_e),
+                              make_config(lambdas=lambdas), v_range)
+        assert (res.v_hat, res.residual, res.integers.n_t, res.integers.n_s) == answer
+
+    def test_ambiguous_candidates_are_pinned(self):
+        obs = FoldedObservation((-9.01136248610998, 11.720755186867287), xi_e=0.5)
+        with pytest.raises(AmbiguousSolutionError) as err:
+            search_retrieve(obs, make_config(lambdas=(0.07, 0.08)))
+        assert err.value.candidates == [11.854696350378653, 19.354696350378653]
+
     def test_observation_shape_validated(self, reference_config):
         with pytest.raises(ValueError, match="observations"):
             search_retrieve(FoldedObservation((1.0,)), reference_config)

@@ -141,7 +141,7 @@ class TestDerivedQuantities:
         # What the search reads on every call, compiled with the cells.
         bands = len(lambdas)
         assert cells.by_band.flags.c_contiguous and cells.by_band.shape == (bands, count)
-        assert (cells.widths == cells.hi - cells.lo).all()
+        assert (cells.slack == cells.moduli[:, None] - (cells.hi - cells.lo)).all()
         assert cells.moduli.tolist() == [float(m) for m in cfg.observed_moduli()]
         assert cells.wraps.shape == (bands, 3 ** bands)
         assert len({tuple(w) for w in cells.wraps.T}) == 3 ** bands
@@ -287,6 +287,8 @@ class TestConfigJson:
         ("d", math.inf), ("f_p", math.inf), ("v_a", math.inf),
         ("lambdas", [0.05, math.inf]), ("r_0", math.inf), ("t_s", math.inf),
         ("b_w", math.inf), ("t_pulse", math.inf), ("f_s", math.nan),
+        # Named as not finite, not as not positive.
+        ("lambdas", [0.05, math.nan]), ("lambdas", [-math.inf, 0.05]),
     ])
     def test_non_finite_value_rejected(self, field, value):
         data = make_config().to_dict()
